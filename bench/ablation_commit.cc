@@ -136,7 +136,7 @@ void Run() {
   for (const auto& b : backends) {
     for (const auto& w : windows) {
       RegisterCell(
-          "AblationLogBackend/" + b.label + "/" + w.label, [=, &cache] {
+          "AblationLogFlush/" + b.label + "/" + w.label, [=, &cache] {
             MicroConfig cfg = ScaledMicroConfig(MicroConfig{}, scale);
             cfg.read_pct = 80;
             cfg.stor_pct = 50;

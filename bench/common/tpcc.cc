@@ -209,7 +209,10 @@ TpccConfig ScaledTpccConfig(TpccConfig base, const BenchScale& scale) {
   return base;
 }
 
-Tpcc::Tpcc(const TpccConfig& config) : config_(config) {
+Tpcc::Tpcc(const TpccConfig& config)
+    : config_(config),
+      next_delivery_(static_cast<size_t>(config.warehouses + 1) *
+                     static_cast<size_t>(config.districts_per_wh + 1)) {
   DatabaseOptions opts;
   opts.enable_skeena = config.skeena_on;
   opts.default_isolation = config.isolation;
@@ -701,15 +704,17 @@ Status Tpcc::Delivery(Rng& rng, uint16_t w, uint64_t* queries) {
   uint32_t carrier = static_cast<uint32_t>(rng.UniformRange(1, 10));
   auto txn = db_->Begin(config_.isolation);
   std::string buf;
+  std::vector<uint32_t> delivered(config_.districts_per_wh + 1, 0);
 
   for (uint8_t d = 1; d <= config_.districts_per_wh; ++d) {
     // Oldest undelivered order for the district (spec 2.7.4.1).
     KeyBuilder prefix;
     prefix.AppendU16(w).AppendU8(d);
+    const Key from = NewOrderKey(w, d, NextDelivery(w, d).load());
     uint32_t o_id = 0;
     (*queries)++;
     SKEENA_RETURN_NOT_OK(
-        txn->Scan(new_orders_, prefix.Build(), 1,
+        txn->Scan(new_orders_, from, 1,
                   [&](const Key& key, const std::string&) {
                     if (KeyHasPrefix(key, prefix.Build(), 3)) {
                       uint32_t o = 0;
@@ -719,6 +724,7 @@ Status Tpcc::Delivery(Rng& rng, uint16_t w, uint64_t* queries) {
                     return false;
                   }));
     if (o_id == 0) continue;  // district fully delivered
+    delivered[d] = o_id;
 
     (*queries)++;
     SKEENA_RETURN_NOT_OK(txn->Delete(new_orders_, NewOrderKey(w, d, o_id)));
@@ -758,7 +764,15 @@ Status Tpcc::Delivery(Rng& rng, uint16_t w, uint64_t* queries) {
     SKEENA_RETURN_NOT_OK(
         txn->Put(customer_, CustomerKey(w, d, orow.c_id), RowBytes(cr)));
   }
-  return txn->Commit();
+  SKEENA_RETURN_NOT_OK(txn->Commit());
+  for (uint8_t d = 1; d <= config_.districts_per_wh; ++d) {
+    std::atomic<uint32_t>& next = NextDelivery(w, d);
+    uint32_t cur = next.load();
+    while (delivered[d] >= cur &&
+           !next.compare_exchange_weak(cur, delivered[d] + 1)) {
+    }
+  }
+  return Status::OK();
 }
 
 Status Tpcc::StockLevel(Rng& rng, uint16_t w, uint64_t* queries) {

@@ -80,12 +80,22 @@ class Tpcc {
   void Populate();
   void PopulateWarehouse(uint16_t w);
 
+  std::atomic<uint32_t>& NextDelivery(uint16_t w, uint8_t d) {
+    return next_delivery_[w * (config_.districts_per_wh + 1) + d];
+  }
+
   TpccConfig config_;
   std::unique_ptr<Database> db_;
 
   TableHandle warehouse_, district_, customer_, customer_by_name_, history_,
       new_orders_, orders_, orders_by_customer_, order_line_, item_, stock_;
   std::atomic<uint64_t> history_seq_{1};
+  // Per-district Delivery scan start: one past the newest order a committed
+  // Delivery removed from new_orders (the Silo/ERMIA TPC-C hint). stordb
+  // keeps delete-marked rows in its index, so scanning from the district's
+  // first order would step over every order delivered so far and Delivery
+  // would slow down for the whole run. Indexed by NextDelivery(w, d).
+  std::vector<std::atomic<uint32_t>> next_delivery_;
 };
 
 }  // namespace skeena::bench

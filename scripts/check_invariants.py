@@ -28,13 +28,12 @@ tsan-suppression
     src/ — dead suppressions outlive the code they excused and mask
     genuine races in later rewrites.
 
-Engines
--------
-Prefers libclang (python clang bindings) for comment/scope-exact analysis
-of epoch-guard-blocking; transparently falls back to a conservative lexer
-when clang.cindex is unavailable or fails to parse (the usual case in the
-build container, which ships GCC only). Both engines emit identical
-finding fingerprints, so the baseline is engine-independent.
+Engine
+------
+A comment- and string-aware lexer: block comments and literals are
+stripped before matching, and EpochGuard scopes are tracked by brace
+depth. It needs nothing beyond the standard library, so it runs the same
+in every build environment.
 
 Baseline
 --------
@@ -124,7 +123,7 @@ class Finding:
 
 
 # --------------------------------------------------------------------------
-# Comment-aware line splitting (shared lexer machinery)
+# Comment-aware line splitting
 # --------------------------------------------------------------------------
 
 def split_lines(text):
@@ -173,7 +172,7 @@ def split_lines(text):
 
 
 # --------------------------------------------------------------------------
-# Lexer engine
+# Rules
 # --------------------------------------------------------------------------
 
 def lex_epoch_guard_blocking(path, lines):
@@ -231,58 +230,6 @@ def lex_unjustified_relaxed(path, lines):
             "memory_order_relaxed without a '// relaxed-ok: <reason>' "
             "comment (same line or up to 3 lines above) and not in the "
             "per-file allowlist"))
-    return findings
-
-
-# --------------------------------------------------------------------------
-# libclang engine (preferred when the bindings exist)
-# --------------------------------------------------------------------------
-
-def clang_epoch_guard_blocking(repo_root, rel_paths):
-    """AST-exact version of the EpochGuard rule. Returns None when the
-    clang python bindings are unusable, signalling the lexer fallback."""
-    try:
-        from clang import cindex  # noqa: F401
-        index = cindex.Index.create()
-    except Exception:
-        return None
-
-    from clang import cindex
-    findings = []
-    blocking_names = {"Park", "ParkFor", "WaitDurable", "Wait", "WaitFor",
-                      "WaitUntil", "Recv", "Send", "TryRecv", "sleep_for",
-                      "sleep_until", "recv", "send", "read", "write",
-                      "accept", "accept4", "connect"}
-    args = ["-std=c++20", "-I", os.path.join(repo_root, "src")]
-    for rel in rel_paths:
-        if not rel.endswith(".cc"):
-            continue
-        try:
-            tu = index.parse(os.path.join(repo_root, rel), args=args)
-        except Exception:
-            return None  # toolchain mismatch: fall back wholesale
-
-        def walk(node, live_guards):
-            for child in node.get_children():
-                if (child.kind == cindex.CursorKind.VAR_DECL
-                        and "EpochGuard" in child.type.spelling):
-                    live_guards = live_guards + [(child.spelling,
-                                                  child.location.line)]
-                elif (child.kind == cindex.CursorKind.CALL_EXPR
-                      and child.spelling in blocking_names and live_guards):
-                    g_name, g_line = live_guards[-1]
-                    findings.append(Finding(
-                        "epoch-guard-blocking", rel, child.location.line,
-                        f"{child.spelling} call inside EpochGuard "
-                        f"'{g_name}' (declared line {g_line}); drop the "
-                        f"guard first"))
-                walk(child, live_guards
-                     if child.kind != cindex.CursorKind.COMPOUND_STMT
-                     else list(live_guards))
-        try:
-            walk(tu.cursor, [])
-        except Exception:
-            return None
     return findings
 
 
@@ -346,7 +293,7 @@ def collect_sources(repo_root):
     return sorted(rels)
 
 
-def run(repo_root, baseline_path, update_baseline, no_libclang):
+def run(repo_root, baseline_path, update_baseline):
     rel_paths = collect_sources(repo_root)
     texts = {}
     for rel in rel_paths:
@@ -355,19 +302,11 @@ def run(repo_root, baseline_path, update_baseline, no_libclang):
             texts[rel] = f.read()
 
     findings = []
-    clang_findings = None
-    if not no_libclang:
-        clang_findings = clang_epoch_guard_blocking(repo_root, rel_paths)
-    engine = "libclang" if clang_findings is not None else "lexer"
-
     for rel in rel_paths:
         lines = split_lines(texts[rel])
-        if clang_findings is None:
-            findings.extend(lex_epoch_guard_blocking(rel, lines))
+        findings.extend(lex_epoch_guard_blocking(rel, lines))
         findings.extend(lex_raw_std_sync(rel, lines))
         findings.extend(lex_unjustified_relaxed(rel, lines))
-    if clang_findings is not None:
-        findings.extend(clang_findings)
     findings.extend(check_tsan_suppressions(repo_root, texts))
 
     if update_baseline:
@@ -378,7 +317,7 @@ def run(repo_root, baseline_path, update_baseline, no_libclang):
             for fd in sorted(set(fp.fingerprint() for fp in findings)):
                 f.write(fd + "\n")
         print(f"check_invariants: wrote {len(set(f.fingerprint() for f in findings))} "
-              f"baseline entries to {baseline_path} (engine: {engine})")
+              f"baseline entries to {baseline_path}")
         return 0
 
     baseline = set()
@@ -393,7 +332,7 @@ def run(repo_root, baseline_path, update_baseline, no_libclang):
     fired = set(f.fingerprint() for f in findings)
     stale = sorted(baseline - fired)
 
-    print(f"check_invariants: engine={engine} files={len(rel_paths)} "
+    print(f"check_invariants: files={len(rel_paths)} "
           f"findings={len(findings)} (baseline={len(baseline)}, "
           f"new={len(new)}, stale-baseline={len(stale)})")
     for f in new:
@@ -416,14 +355,12 @@ def main():
                          "scripts/check_invariants_baseline.txt under root)")
     ap.add_argument("--update-baseline", action="store_true",
                     help="rewrite the baseline from current findings")
-    ap.add_argument("--no-libclang", action="store_true",
-                    help="force the lexer engine (reproduces the container)")
     args = ap.parse_args()
     root = args.root or os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
     baseline = args.baseline or os.path.join(
         root, "scripts", "check_invariants_baseline.txt")
-    sys.exit(run(root, baseline, args.update_baseline, args.no_libclang))
+    sys.exit(run(root, baseline, args.update_baseline))
 
 
 if __name__ == "__main__":

@@ -25,14 +25,11 @@ namespace skeena {
 ///    `WakeOne/WakeAll`, otherwise a concurrent Park can sleep through the
 ///    wake.
 ///
-/// Backends: `futex(2)` on Linux; elsewhere — or when forced via
-/// `SetBackendForTest` / SKEENA_PARKING_FALLBACK=1 — a static hashed table
-/// of mutex+condvar buckets keyed by word address. Bucket collisions only
-/// add spurious wakes, which the protocol already tolerates.
+/// Built directly on Linux `futex(2)` (private futexes, one kernel wait
+/// queue per word). The system is Linux-only: the server already needs
+/// epoll and eventfd.
 class ParkingLot {
  public:
-  enum class Backend { kFutex, kCondvar };
-
   /// Process-wide counters (sharded; relaxed increments, folded on read).
   struct Stats {
     uint64_t parks = 0;            // kernel-blocking park attempts
@@ -56,18 +53,10 @@ class ParkingLot {
   /// Wakes every thread parked on `word`.
   static void WakeAll(const std::atomic<uint32_t>& word);
 
-  /// Wakes at least one thread parked on `word` — exactly one on the futex
-  /// backend; the condvar fallback wakes the whole bucket (a single notify
-  /// could land on a colliding word's waiter, which would re-park and
-  /// swallow the wake). Treat it as a contention hint, not a contract.
+  /// Wakes one thread parked on `word`.
   static void WakeOne(const std::atomic<uint32_t>& word);
 
   static Stats stats();
-
-  static Backend backend();
-  /// Test hook: swaps the backend process-wide. Calling it while any thread
-  /// is parked is undefined (a futex-parked thread cannot be condvar-woken).
-  static void SetBackendForTest(Backend b);
 };
 
 /// Spins up to `iters` pause iterations waiting for `pred()`; returns true

@@ -1,5 +1,7 @@
 #include "core/database.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -12,6 +14,19 @@ namespace skeena {
 
 namespace {
 
+/// A database whose device does not open must not run: falling back to
+/// memory would ack commits that vanish on restart. Fail stop instead.
+template <typename Device>
+std::unique_ptr<StorageDevice> OpenOrDie(
+    Result<std::unique_ptr<Device>> dev, const std::string& path) {
+  if (!dev.ok()) {
+    std::fprintf(stderr, "Database: cannot open %s: %s\n", path.c_str(),
+                 dev.status().ToString().c_str());
+    std::abort();
+  }
+  return std::move(dev).value();
+}
+
 std::unique_ptr<StorageDevice> MakeDevice(const std::string& data_dir,
                                           const std::string& name,
                                           DeviceLatency latency) {
@@ -19,19 +34,12 @@ std::unique_ptr<StorageDevice> MakeDevice(const std::string& data_dir,
     return std::make_unique<MemDevice>(latency);
   }
   std::filesystem::create_directories(data_dir);
-  auto dev = FileDevice::Open(data_dir + "/" + name, latency);
-  // Database construction cannot fail gracefully here; fall back to memory
-  // on I/O error (surfaced via the device type in tests).
-  if (!dev.ok()) return std::make_unique<MemDevice>(latency);
-  return std::move(dev.value());
+  const std::string path = data_dir + "/" + name;
+  return OpenOrDie(FileDevice::Open(path, latency), path);
 }
 
-/// Builds an engine's WAL device per DatabaseOptions::log_backend. The
-/// segmented backend opens a *directory* named after the log
-/// ("<data_dir>/mem.log/" holding wal.NNNNNNNN.seg files); if that path is
-/// a plain file left by a kFile run, opening the directory fails and we
-/// fall back to the legacy single-file layout so old data dirs keep
-/// working.
+/// Builds an engine's WAL device: a segment directory named after the log
+/// ("<data_dir>/mem.log/" holding wal.NNNNNNNN.seg files).
 std::unique_ptr<StorageDevice> MakeLogDevice(const DatabaseOptions& options,
                                              const std::string& name) {
   if (options.log_device_factory) return options.log_device_factory(name);
@@ -39,16 +47,11 @@ std::unique_ptr<StorageDevice> MakeLogDevice(const DatabaseOptions& options,
     return std::make_unique<MemDevice>(options.log_latency);
   }
   std::filesystem::create_directories(options.data_dir);
-  if (options.log_backend == DatabaseOptions::LogBackend::kSegmented) {
-    SegmentedLogDevice::Options seg;
-    seg.segment_bytes = options.log_segment_bytes;
-    seg.use_io_uring = options.log_io_uring;
-    seg.use_direct_io = options.log_direct_io;
-    seg.latency = options.log_latency;
-    auto dev = SegmentedLogDevice::Open(options.data_dir + "/" + name, seg);
-    if (dev.ok()) return std::move(dev.value());
-  }
-  return MakeDevice(options.data_dir, name, options.log_latency);
+  SegmentedLogDevice::Options seg;
+  seg.use_io_uring = true;
+  seg.latency = options.log_latency;
+  const std::string path = options.data_dir + "/" + name;
+  return OpenOrDie(SegmentedLogDevice::Open(path, seg), path);
 }
 
 }  // namespace

@@ -55,27 +55,19 @@ struct DatabaseOptions {
   /// Latency injected on both engines' log devices.
   DeviceLatency log_latency = DeviceLatency::Tmpfs();
 
-  /// Which device backs each engine's write-ahead log when data_dir is
-  /// set. kSegmented (the default) is the raw-speed path: preallocated
-  /// fixed-size segment files with io_uring batching where the kernel
-  /// supports it. kFile is the legacy single grow-forever file.
-  enum class LogBackend { kFile, kSegmented };
-  LogBackend log_backend = LogBackend::kSegmented;
-  uint64_t log_segment_bytes = 8 * 1024 * 1024;
-  /// Batch segmented-log writes/syncs through io_uring when available
-  /// (runtime-probed; silently falls back to pwrite).
-  bool log_io_uring = true;
-  /// Open segmented-log writers with O_DIRECT (4 KiB-aligned staging);
-  /// silently falls back where the filesystem rejects it.
-  bool log_direct_io = false;
-  /// Test/bench hook: overrides everything above. Called with the log's
-  /// name ("mem.log" / "stor.log") to build each engine's device.
+  /// Test/bench hook: builds each engine's log device, called with the
+  /// log's name ("mem.log" / "stor.log"). When unset, each log is a
+  /// MemDevice, or with data_dir set a SegmentedLogDevice directory of
+  /// preallocated 8 MiB segments at "<data_dir>/<name>" that batches writes
+  /// and syncs through io_uring where the kernel supports it.
   std::function<std::unique_ptr<StorageDevice>(const std::string& name)>
       log_device_factory;
 
   /// When set, logs / table spaces / catalog live in files under data_dir
   /// (survives restarts; enables crash-recovery flows). Otherwise all
-  /// devices are in-memory.
+  /// devices are in-memory. A device under data_dir that fails to open
+  /// aborts the process: it never falls back to memory, which would ack
+  /// commits that vanish on restart.
   std::string data_dir;
 
   /// Verification hook: record every transaction's snapshots, commit

@@ -8,19 +8,17 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <set>
 
 namespace skeena {
 namespace {
 
-constexpr uint64_t kDirectAlign = 4096;
+constexpr uint64_t kPageBytes = 4096;
 constexpr char kSegmentPrefix[] = "wal.";
 constexpr char kSegmentSuffix[] = ".seg";
 constexpr unsigned kUringEntries = 64;
 
-uint64_t AlignDown(uint64_t v, uint64_t a) { return v & ~(a - 1); }
 uint64_t AlignUp(uint64_t v, uint64_t a) { return (v + a - 1) & ~(a - 1); }
 
 ssize_t PreadFully(int fd, uint8_t* buf, size_t count, off_t offset) {
@@ -62,8 +60,8 @@ SegmentedLogDevice::SegmentedLogDevice(std::string dir, Options options)
     : dir_(std::move(dir)),
       options_(options),
       segment_bytes_(AlignUp(std::max<uint64_t>(options.segment_bytes,
-                                                2 * kDirectAlign),
-                             kDirectAlign)) {}
+                                                2 * kPageBytes),
+                             kPageBytes)) {}
 
 Result<std::unique_ptr<SegmentedLogDevice>> SegmentedLogDevice::Open(
     const std::string& dir) {
@@ -127,7 +125,6 @@ SegmentedLogDevice::~SegmentedLogDevice() {
     if (seg.read_fd >= 0 && seg.read_fd != seg.write_fd) ::close(seg.read_fd);
   }
   if (dir_fd_ >= 0) ::close(dir_fd_);
-  std::free(direct_buf_);
 }
 
 std::string SegmentedLogDevice::SegmentPath(size_t index) const {
@@ -139,18 +136,7 @@ std::string SegmentedLogDevice::SegmentPath(size_t index) const {
 
 Status SegmentedLogDevice::OpenSegmentLocked(size_t index, bool create) {
   const std::string path = SegmentPath(index);
-  int flags = O_RDWR | (create ? O_CREAT : 0);
-  int write_fd = -1;
-  bool direct = false;
-  if (options_.use_direct_io) {
-    write_fd = ::open(path.c_str(), flags | O_DIRECT, 0644);
-    direct = write_fd >= 0;
-  }
-  if (write_fd < 0) {
-    // tmpfs (and some filesystems) reject O_DIRECT with EINVAL; buffered
-    // fds keep the same correctness, just through the page cache.
-    write_fd = ::open(path.c_str(), flags, 0644);
-  }
+  int write_fd = ::open(path.c_str(), O_RDWR | (create ? O_CREAT : 0), 0644);
   if (write_fd < 0) {
     return Status::IOError("open failed: " + path);
   }
@@ -170,7 +156,6 @@ Status SegmentedLogDevice::OpenSegmentLocked(size_t index, bool create) {
   segments_[index].write_fd = write_fd;
   segments_[index].read_fd = read_fd;
   segments_[index].dirty = true;  // preallocation metadata wants a sync
-  if (direct) direct_effective_ = true;
   if (create) {
     // The new dirent must survive a crash for the segment to be found on
     // reopen; recovery tolerates a missing *tail* segment (it just sees a
@@ -198,67 +183,6 @@ Status SegmentedLogDevice::PwritePieceLocked(Segment& seg, uint64_t file_off,
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IOError("pwrite failed: " + dir_);
-    }
-    if (n == 0) return Status::IOError("pwrite wrote nothing: " + dir_);
-    p += n;
-    at += n;
-    remaining -= static_cast<size_t>(n);
-  }
-  seg.dirty = true;
-  return Status::OK();
-}
-
-Status SegmentedLogDevice::DirectWriteLocked(Segment& seg, uint64_t file_off,
-                                             std::span<const uint8_t> data) {
-  // O_DIRECT requires 4 KiB-aligned offset, length and buffer. Stage the
-  // write in the aligned scratch; the head block (the tail block of the
-  // previous batch) and the final partial block are read back from the
-  // segment and rewritten whole (tail-block rewrite).
-  const uint64_t a_off = AlignDown(file_off, kDirectAlign);
-  const uint64_t a_end =
-      std::min(AlignUp(file_off + data.size(), kDirectAlign), segment_bytes_);
-  const size_t a_len = static_cast<size_t>(a_end - a_off);
-  if (a_len > direct_buf_len_) {
-    std::free(direct_buf_);
-    direct_buf_len_ = AlignUp(a_len, kDirectAlign);
-    direct_buf_ = static_cast<uint8_t*>(
-        std::aligned_alloc(kDirectAlign, direct_buf_len_));
-    if (direct_buf_ == nullptr) {
-      direct_buf_len_ = 0;
-      return Status::IOError("aligned_alloc failed");
-    }
-  }
-  const size_t head = static_cast<size_t>(file_off - a_off);
-  const size_t tail_start = head + data.size();
-  if (head > 0) {
-    // Only the head block needs its old bytes back; everything after the
-    // payload inside the last block is past the log tail (zeros on a
-    // preallocated segment), but re-reading the whole remainder is one
-    // pread and unconditionally correct.
-    if (PreadFully(seg.read_fd, direct_buf_, head,
-                   static_cast<off_t>(a_off)) !=
-        static_cast<ssize_t>(head)) {
-      return Status::IOError("tail-block read failed: " + dir_);
-    }
-  }
-  if (tail_start < a_len) {
-    if (PreadFully(seg.read_fd, direct_buf_ + tail_start,
-                   a_len - tail_start,
-                   static_cast<off_t>(a_off + tail_start)) !=
-        static_cast<ssize_t>(a_len - tail_start)) {
-      return Status::IOError("tail-block read failed: " + dir_);
-    }
-  }
-  std::memcpy(direct_buf_ + head, data.data(), data.size());
-
-  const uint8_t* p = direct_buf_;
-  size_t remaining = a_len;
-  off_t at = static_cast<off_t>(a_off);
-  while (remaining > 0) {
-    ssize_t n = ::pwrite(seg.write_fd, p, remaining, at);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError("O_DIRECT pwrite failed: " + dir_);
     }
     if (n == 0) return Status::IOError("pwrite wrote nothing: " + dir_);
     p += n;
@@ -306,10 +230,10 @@ Status SegmentedLogDevice::WritePiecesLocked(uint64_t offset,
     return Status::OK();
   };
 
-  // io_uring path: queue every (non-O_DIRECT) piece and submit the batch
-  // with one syscall. Any ring failure falls through to the synchronous
-  // path below — offsets make the redo idempotent.
-  if (uring_ != nullptr && !direct_effective_) {
+  // io_uring path: queue every piece and submit the batch with one
+  // syscall. Any ring failure falls through to the synchronous path below
+  // — offsets make the redo idempotent.
+  if (uring_ != nullptr) {
     bool queued_all = true;
     Status st = each_piece([&](const Piece& piece) -> Status {
       Segment& seg = segments_[piece.seg];
@@ -332,12 +256,7 @@ Status SegmentedLogDevice::WritePiecesLocked(uint64_t offset,
   }
 
   SKEENA_RETURN_NOT_OK(each_piece([&](const Piece& piece) -> Status {
-    Segment& seg = segments_[piece.seg];
-    if (direct_effective_) {
-      return DirectWriteLocked(seg, piece.file_off,
-                               std::span(piece.src, piece.len));
-    }
-    return PwritePieceLocked(seg, piece.file_off,
+    return PwritePieceLocked(segments_[piece.seg], piece.file_off,
                              std::span(piece.src, piece.len));
   }));
   bytes_written_ += data.size();

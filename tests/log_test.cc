@@ -591,41 +591,6 @@ TEST(SegmentedDeviceTest, UringBackendRoundTrips) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(SegmentedDeviceTest, DirectIoRequestRoundTripsEvenWhenUnsupported) {
-  // tmpfs rejects O_DIRECT, so this usually exercises the silent-fallback
-  // path; on filesystems that accept it, it exercises the aligned
-  // tail-block-rewrite path. Either way the bytes must round-trip.
-  std::string dir = FreshDir("skeena_seg_direct");
-  SegmentedLogDevice::Options o;
-  o.segment_bytes = 8 * 1024;
-  o.use_direct_io = true;
-  Lsn end = 0;
-  {
-    auto dev = SegmentedLogDevice::Open(dir, o);
-    ASSERT_TRUE(dev.ok());
-    LogManager log(std::move(dev.value()));
-    for (int i = 0; i < 150; ++i) {
-      log.Append(Bytes("direct-rec-" + std::to_string(i)));
-    }
-    ASSERT_TRUE(log.Flush().ok());
-    end = log.CurrentLsn();
-  }
-  auto dev = SegmentedLogDevice::Open(dir, o);
-  ASSERT_TRUE(dev.ok());
-  LogReader reader(dev->get());
-  std::string rec;
-  int n = 0;
-  while (reader.Next(&rec)) {
-    EXPECT_EQ(rec, "direct-rec-" + std::to_string(n));
-    ++n;
-  }
-  EXPECT_EQ(n, 150);
-  EXPECT_EQ(reader.offset(), end);
-  std::filesystem::remove_all(dir);
-}
-
-// ------------------------------------------------------------- LogRecord
-
 TEST(LogRecordTest, EncodeDecodeRoundTrip) {
   LogRecord rec;
   rec.type = LogRecordType::kData;

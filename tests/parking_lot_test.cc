@@ -10,29 +10,7 @@
 namespace skeena {
 namespace {
 
-/// Every case runs against both backends: the futex path (Linux) and the
-/// hashed condvar-bucket fallback, which must implement the identical
-/// protocol (the backend swap itself is safe here because no thread is
-/// parked between cases).
-class ParkingLotTest
-    : public ::testing::TestWithParam<ParkingLot::Backend> {
- protected:
-  void SetUp() override {
-#if !defined(__linux__)
-    if (GetParam() == ParkingLot::Backend::kFutex) {
-      GTEST_SKIP() << "futex backend is Linux-only";
-    }
-#endif
-    previous_ = ParkingLot::backend();
-    ParkingLot::SetBackendForTest(GetParam());
-  }
-  void TearDown() override { ParkingLot::SetBackendForTest(previous_); }
-
- private:
-  ParkingLot::Backend previous_ = ParkingLot::Backend::kFutex;
-};
-
-TEST_P(ParkingLotTest, ParkReturnsImmediatelyWhenWordAlreadyMoved) {
+TEST(ParkingLotTest, ParkReturnsImmediatelyWhenWordAlreadyMoved) {
   std::atomic<uint32_t> word{1};
   ParkingLot::Stats before = ParkingLot::stats();
   ParkingLot::Park(word, 0);  // must not block: word != expected
@@ -40,7 +18,7 @@ TEST_P(ParkingLotTest, ParkReturnsImmediatelyWhenWordAlreadyMoved) {
   EXPECT_GT(after.immediate_parks, before.immediate_parks);
 }
 
-TEST_P(ParkingLotTest, WakeAllReleasesEveryParkedThread) {
+TEST(ParkingLotTest, WakeAllReleasesEveryParkedThread) {
   std::atomic<uint32_t> word{0};
   std::atomic<int> entered{0};
   constexpr int kThreads = 8;
@@ -68,7 +46,7 @@ TEST_P(ParkingLotTest, WakeAllReleasesEveryParkedThread) {
 // re-reads the word before parking. A waker that bumps the word between
 // the read and the park must make that park return immediately — any lost
 // wakeup deadlocks the test (caught by the suite timeout).
-TEST_P(ParkingLotTest, NoLostWakeupUnderRapidWakeRaces) {
+TEST(ParkingLotTest, NoLostWakeupUnderRapidWakeRaces) {
   constexpr uint32_t kRounds = 5000;
   std::atomic<uint32_t> word{0};
   std::atomic<uint32_t> consumed{0};
@@ -90,7 +68,7 @@ TEST_P(ParkingLotTest, NoLostWakeupUnderRapidWakeRaces) {
   EXPECT_EQ(consumed.load(), kRounds);
 }
 
-TEST_P(ParkingLotTest, WakeOneReleasesAtLeastOneWaiter) {
+TEST(ParkingLotTest, WakeOneReleasesAtLeastOneWaiter) {
   std::atomic<uint32_t> word{0};
   std::atomic<int> released{0};
   constexpr int kThreads = 4;
@@ -115,9 +93,9 @@ TEST_P(ParkingLotTest, WakeOneReleasesAtLeastOneWaiter) {
 
 // Thread churn: waves of short-lived threads park on words that live on
 // (and die with) each wave's stack, while a persistent waker hammers a
-// shared word. Exercises bucket reuse across addresses and thread exit
-// with no parked-state leakage.
-TEST_P(ParkingLotTest, ThreadChurnAcrossManyWordsIsSafe) {
+// shared word. Exercises kernel wait-queue reuse across addresses and
+// thread exit with no parked-state leakage.
+TEST(ParkingLotTest, ThreadChurnAcrossManyWordsIsSafe) {
   std::atomic<bool> done{false};
   std::atomic<uint32_t> shared{0};
   std::thread waker([&] {
@@ -148,15 +126,13 @@ TEST_P(ParkingLotTest, ThreadChurnAcrossManyWordsIsSafe) {
   waker.join();
 }
 
-// Regression (condvar fallback): more distinct words than buckets forces
-// hash collisions, so WakeOne on one word shares a bucket with waiters of
-// other words. A fallback that forwards WakeOne to notify_one can hand the
-// single notify to a colliding waiter — which re-parks and swallows it,
-// stranding the intended thread forever (caught here by the suite
-// timeout). The fix wakes the whole bucket; futex queues are per-word and
-// pass trivially.
-TEST_P(ParkingLotTest, WakeOneIsNotSwallowedByBucketCollisions) {
-  constexpr int kWords = 80;  // > the fallback's 64 buckets: pigeonhole
+// Many distinct words, each with one waiter and exactly one WakeOne: every
+// wake must reach its own word's waiter. A lot that shares wait queues
+// across words (hashed buckets) could hand the single wake to a waiter of
+// a colliding word, which re-parks and swallows it, stranding the intended
+// thread forever (caught here by the suite timeout).
+TEST(ParkingLotTest, WakeOneIsNotSwallowedByBucketCollisions) {
+  constexpr int kWords = 80;
   std::vector<std::atomic<uint32_t>> words(kWords);
   std::atomic<int> started{0};
   std::vector<std::thread> threads;
@@ -177,7 +153,7 @@ TEST_P(ParkingLotTest, WakeOneIsNotSwallowedByBucketCollisions) {
   for (auto& th : threads) th.join();  // completion == no swallowed wake
 }
 
-TEST_P(ParkingLotTest, StatsCountParksAndWakes) {
+TEST(ParkingLotTest, StatsCountParksAndWakes) {
   std::atomic<uint32_t> word{0};
   ParkingLot::Stats before = ParkingLot::stats();
   std::thread waiter([&] {
@@ -194,14 +170,6 @@ TEST_P(ParkingLotTest, StatsCountParksAndWakes) {
   EXPECT_GE(after.parks + after.immediate_parks,
             before.parks + before.immediate_parks);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ParkingLotTest,
-    ::testing::Values(ParkingLot::Backend::kFutex,
-                      ParkingLot::Backend::kCondvar),
-    [](const ::testing::TestParamInfo<ParkingLot::Backend>& info) {
-      return info.param == ParkingLot::Backend::kFutex ? "futex" : "condvar";
-    });
 
 }  // namespace
 }  // namespace skeena

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "core/skeena.h"
 #include "log/log_manager.h"
@@ -258,55 +259,31 @@ TEST_F(RecoveryTest, TornLogTailIgnored) {
   }
 }
 
-TEST_F(RecoveryTest, LegacyFileBackendStillRecovers) {
-  auto legacy = [this] {
-    DatabaseOptions opts = FileOptions();
-    opts.log_backend = DatabaseOptions::LogBackend::kFile;
-    return opts;
-  };
-  {
-    Database db(legacy());
-    auto mem_t = *db.CreateTable("m", EngineKind::kMem);
-    auto stor_t = *db.CreateTable("s", EngineKind::kStor);
-    auto txn = db.Begin();
-    ASSERT_TRUE(txn->Put(mem_t, MakeKey(1), "mem-file").ok());
-    ASSERT_TRUE(txn->Put(stor_t, MakeKey(1), "stor-file").ok());
-    ASSERT_TRUE(txn->Commit().ok());
-  }
-  {
-    Database db(legacy());
-    ASSERT_TRUE(db.Recover().ok());
-    auto reader = db.Begin();
-    std::string v;
-    ASSERT_TRUE(reader->Get(*db.GetTable("m"), MakeKey(1), &v).ok());
-    EXPECT_EQ(v, "mem-file");
-    ASSERT_TRUE(reader->Get(*db.GetTable("s"), MakeKey(1), &v).ok());
-    EXPECT_EQ(v, "stor-file");
-  }
+#ifdef GTEST_HAS_DEATH_TEST
+// A device under data_dir that will not open must stop the process, not
+// fall back to memory: a memory log would ack commits that vanish on
+// restart. Each database is built inside the death statement, so the
+// forked child starts every thread it has.
+using RecoveryDeathTest = RecoveryTest;
+
+TEST_F(RecoveryDeathTest, PlainFileWhereLogDirectoryBelongsFailsStop) {
+  // The layout of a data dir from before segmented logs: mem.log is one
+  // plain file, so the segment directory cannot be opened.
+  std::filesystem::create_directories(dir_);
+  std::ofstream(dir_ + "/mem.log") << "file-era log bytes";
+  EXPECT_DEATH({ Database db(FileOptions()); }, "cannot open .*mem\\.log");
 }
 
-TEST_F(RecoveryTest, FileBackedDataDirReopensUnderSegmentedDefault) {
-  // A data dir created under the legacy kFile layout has plain files where
-  // the segmented backend wants directories. Reopening with the segmented
-  // default must fall back to the file layout instead of losing the log.
-  {
-    DatabaseOptions opts = FileOptions();
-    opts.log_backend = DatabaseOptions::LogBackend::kFile;
-    Database db(opts);
-    auto mem_t = *db.CreateTable("m", EngineKind::kMem);
-    auto txn = db.Begin();
-    ASSERT_TRUE(txn->Put(mem_t, MakeKey(7), "from-file-era").ok());
-    ASSERT_TRUE(txn->Commit().ok());
-  }
-  {
-    Database db(FileOptions());  // default backend: segmented
-    ASSERT_TRUE(db.Recover().ok());
-    auto reader = db.Begin();
-    std::string v;
-    ASSERT_TRUE(reader->Get(*db.GetTable("m"), MakeKey(7), &v).ok());
-    EXPECT_EQ(v, "from-file-era");
-  }
+TEST_F(RecoveryDeathTest, UnopenableTableSpaceFailsStop) {
+  std::filesystem::create_directories(dir_ + "/table_s.tbl");
+  EXPECT_DEATH(
+      {
+        Database db(FileOptions());
+        (void)db.CreateTable("s", EngineKind::kStor);
+      },
+      "cannot open .*table_s\\.tbl");
 }
+#endif
 
 }  // namespace
 }  // namespace skeena

@@ -85,8 +85,7 @@ def run_linter(repo_root, scratch):
     baseline = os.path.join(scratch, "baseline.txt")
     open(baseline, "w").close()
     proc = subprocess.run(
-        [sys.executable, script, "--root", scratch, "--baseline", baseline,
-         "--no-libclang"],
+        [sys.executable, script, "--root", scratch, "--baseline", baseline],
         capture_output=True, text=True)
     return proc.returncode, proc.stdout + proc.stderr
 
