@@ -1,14 +1,15 @@
 // Ablation: Skeena's pipelined commit (Section 4.5) vs. a synchronous
-// commit that flushes both logs on the worker thread, and central vs.
-// partitioned commit queues — on the cross-engine microbenchmark with an
-// SSD-like log latency so the flush cost is visible.
+// commit that flushes both logs on the worker thread — on the cross-engine
+// microbenchmark with an SSD-like log latency so the flush cost is visible.
 //
-// Expected shape: pipelining wins throughput at saturation (workers detach
-// instead of waiting out the flush) and the partitioned queue relieves the
-// central daemon at high connection counts. The wakeup matrices quantify
-// the parking-lot path: batched unparks drive syscall-wakeups-per-commit
-// toward 1/batch-size in pipelined mode (the old condvar design was 1.0 by
-// construction), while spin successes avoid the kernel entirely.
+// Expected shape: pipelining wins throughput at saturation. A pipelined
+// commit waits on each log's self-clocked group-commit flusher, which
+// batches every commit that arrived during the previous flush and releases
+// them with one unpark; a synchronous commit issues (or joins) a flush of
+// its own. The wakeup matrix counts the kernel wakes issued to release
+// committers — the logs' batched durable-advance unparks plus any the
+// commit pipeline issued — per commit; the park matrix counts commits whose
+// durable wait blocked in the kernel.
 
 #include "bench/common/bench_harness.h"
 
@@ -20,6 +21,15 @@
 
 namespace skeena::bench {
 namespace {
+
+// Kernel wakes issued to release committers so far: both logs' batched
+// durable-advance unparks plus the commit pipeline's own wakes.
+uint64_t CommitWakes(Database* db) {
+  CommitPipeline::Stats p = db->pipeline().stats();
+  return p.wake_syscalls + p.daemon_wakes +
+         db->mem()->engine()->log()->stats().durable_wakes +
+         db->stor()->engine()->log()->stats().durable_wakes;
+}
 
 void Run() {
   BenchScale scale = BenchScale::FromEnv();
@@ -36,12 +46,12 @@ void Run() {
   struct Variant {
     std::string label;
     CommitPipeline::Mode mode;
-    size_t queues;
   };
+  // Blocking commits wait on the log flushers directly and never touch a
+  // commit queue, so the queue count is not an axis here.
   std::vector<Variant> variants = {
-      {"pipelined, 1 queue", CommitPipeline::Mode::kPipelined, 1},
-      {"pipelined, 4 queues", CommitPipeline::Mode::kPipelined, 4},
-      {"synchronous flush", CommitPipeline::Mode::kSync, 1},
+      {"pipelined, waits on flusher", CommitPipeline::Mode::kPipelined},
+      {"synchronous flush", CommitPipeline::Mode::kSync},
   };
 
   for (const auto& v : variants) {
@@ -54,7 +64,6 @@ void Run() {
                      cfg.stor_pct = 50;
                      cfg.pool_fraction = 2.0;
                      cfg.pipeline.mode = v.mode;
-                     cfg.pipeline.num_queues = v.queues;
                      // SSD-priced log syncs: the pipelined/synchronous
                      // distinction only exists when flushes cost something.
                      cfg.log_latency = DeviceLatency::Ssd();
@@ -63,6 +72,7 @@ void Run() {
                      // accounting is the delta across this run.
                      CommitPipeline::Stats before =
                          wl->db()->pipeline().stats();
+                     uint64_t wakes_before = CommitWakes(wl->db());
                      RunResult r = RunWorkload(
                          conns, scale.duration_ms,
                          [wl](int t, Rng& rng, uint64_t* q) {
@@ -71,9 +81,7 @@ void Run() {
                      CommitPipeline::Stats after =
                          wl->db()->pipeline().stats();
                      uint64_t done = after.completed - before.completed;
-                     uint64_t wakes =
-                         (after.wake_syscalls - before.wake_syscalls) +
-                         (after.daemon_wakes - before.daemon_wakes);
+                     uint64_t wakes = CommitWakes(wl->db()) - wakes_before;
                      uint64_t parked =
                          after.waiter_parks - before.waiter_parks;
                      std::string col = std::to_string(conns);
@@ -91,12 +99,13 @@ void Run() {
     }
   }
 
-  // ---- Raw-speed log path: flush backend x group-commit window --------
+  // ---- Raw-speed log path: flush backend ------------------------------
   // Engine logs on real files (tables stay in memory), comparing the
   // synchronous pwrite file device against the segmented writer with and
-  // without io_uring, across fixed and adaptive commit windows.
+  // without io_uring under the self-clocked group-commit flusher. Flushes
+  // per commit below 1 is the batching a real fsync buys.
   auto backend_tput = std::make_shared<ResultMatrix>(
-      "Ablation: log flush backend x commit window (commits/s)", "Backend");
+      "Ablation: log flush backend (commits/s)", "Backend");
   auto backend_p99 = std::make_shared<ResultMatrix>(
       "Ablation: log flush backend (p99 commit latency, ms)", "Backend");
   auto backend_wakes = std::make_shared<ResultMatrix>(
@@ -120,64 +129,44 @@ void Run() {
         "note: io_uring unavailable (kernel/build); backend row skipped\n");
   }
 
-  struct Window {
-    std::string label;
-    uint64_t base_us;
-    uint64_t max_us;
-    bool adaptive;
-  };
-  std::vector<Window> windows = {
-      {"fixed 50us", 50, 50, false},
-      {"fixed 1000us", 1000, 1000, false},
-      {"adaptive 50-1000us", 50, 1000, true},
-  };
-
+  const std::string col = "self-clocked";
   const int log_conns = scale.connections.back();
   for (const auto& b : backends) {
-    for (const auto& w : windows) {
-      RegisterCell(
-          "AblationLogFlush/" + b.label + "/" + w.label, [=, &cache] {
-            MicroConfig cfg = ScaledMicroConfig(MicroConfig{}, scale);
-            cfg.read_pct = 80;
-            cfg.stor_pct = 50;
-            cfg.pool_fraction = 2.0;
-            cfg.log_disk = b.disk;
-            cfg.log.flush_interval_us = w.base_us;
-            cfg.log.max_flush_interval_us = w.max_us;
-            cfg.log.adaptive_flush = w.adaptive;
-            MicroWorkload* wl = cache.Get(cfg, true);
-            Database* db = wl->db();
-            CommitPipeline::Stats before = db->pipeline().stats();
-            uint64_t flushes_before =
-                db->mem()->engine()->log()->flush_batches() +
-                db->stor()->engine()->log()->flush_batches();
-            RunResult r = RunWorkload(
-                log_conns, scale.duration_ms,
-                [wl](int t, Rng& rng, uint64_t* q) {
-                  return wl->RunOneTxn(t, rng, q);
-                });
-            CommitPipeline::Stats after = db->pipeline().stats();
-            uint64_t flushes =
-                db->mem()->engine()->log()->flush_batches() +
-                db->stor()->engine()->log()->flush_batches() - flushes_before;
-            uint64_t done = after.completed - before.completed;
-            uint64_t wakes = (after.wake_syscalls - before.wake_syscalls) +
-                             (after.daemon_wakes - before.daemon_wakes);
-            backend_tput->Set(b.label, w.label, r.Tps());
-            backend_p99->Set(
-                b.label, w.label,
-                static_cast<double>(r.latency.Percentile(99)) / 1e6);
-            backend_wakes->Set(b.label, w.label,
-                               done == 0 ? 0.0
-                                         : static_cast<double>(wakes) /
-                                               static_cast<double>(done));
-            backend_flushes->Set(b.label, w.label,
-                                 done == 0 ? 0.0
-                                           : static_cast<double>(flushes) /
-                                                 static_cast<double>(done));
-            return r;
-          });
-    }
+    RegisterCell("AblationLogFlush/" + b.label + "/" + col, [=, &cache] {
+      MicroConfig cfg = ScaledMicroConfig(MicroConfig{}, scale);
+      cfg.read_pct = 80;
+      cfg.stor_pct = 50;
+      cfg.pool_fraction = 2.0;
+      cfg.log_disk = b.disk;
+      MicroWorkload* wl = cache.Get(cfg, true);
+      Database* db = wl->db();
+      CommitPipeline::Stats before = db->pipeline().stats();
+      uint64_t wakes_before = CommitWakes(db);
+      uint64_t flushes_before = db->mem()->engine()->log()->flush_batches() +
+                                db->stor()->engine()->log()->flush_batches();
+      RunResult r = RunWorkload(log_conns, scale.duration_ms,
+                                [wl](int t, Rng& rng, uint64_t* q) {
+                                  return wl->RunOneTxn(t, rng, q);
+                                });
+      CommitPipeline::Stats after = db->pipeline().stats();
+      uint64_t flushes = db->mem()->engine()->log()->flush_batches() +
+                         db->stor()->engine()->log()->flush_batches() -
+                         flushes_before;
+      uint64_t done = after.completed - before.completed;
+      uint64_t wakes = CommitWakes(db) - wakes_before;
+      backend_tput->Set(b.label, col, r.Tps());
+      backend_p99->Set(b.label, col,
+                       static_cast<double>(r.latency.Percentile(99)) / 1e6);
+      backend_wakes->Set(b.label, col,
+                         done == 0 ? 0.0
+                                   : static_cast<double>(wakes) /
+                                         static_cast<double>(done));
+      backend_flushes->Set(b.label, col,
+                           done == 0 ? 0.0
+                                     : static_cast<double>(flushes) /
+                                           static_cast<double>(done));
+      return r;
+    });
   }
 
   // ---- Contended append: the lock-free reservation ring ---------------

@@ -62,8 +62,7 @@ class MicroCache {
                                  DeviceLatency l) {
     char buf[384];
     std::snprintf(buf, sizeof(buf),
-                  "%d/%llu/%zu/%.3f/%d/%llu/%zu/%llu/%d/%zu/%d/%llu/%d/%d/"
-                  "%llu/%llu/%d",
+                  "%d/%llu/%zu/%.3f/%d/%llu/%zu/%llu/%d/%zu/%d/%llu/%d/%d",
                   c.tables_per_engine,
                   static_cast<unsigned long long>(c.rows_per_table),
                   c.value_size, c.pool_fraction, skeena_on ? 1 : 0,
@@ -73,10 +72,7 @@ class MicroCache {
                   static_cast<int>(c.pipeline.mode), c.pipeline.num_queues,
                   static_cast<int>(c.anchor),
                   static_cast<unsigned long long>(c.log_latency.sync_ns),
-                  c.record_history ? 1 : 0, static_cast<int>(c.log_disk),
-                  static_cast<unsigned long long>(c.log.flush_interval_us),
-                  static_cast<unsigned long long>(c.log.max_flush_interval_us),
-                  c.log.adaptive_flush ? 1 : 0);
+                  c.record_history ? 1 : 0, static_cast<int>(c.log_disk));
     return buf;
   }
 

@@ -41,8 +41,6 @@ MicroWorkload::MicroWorkload(const MicroConfig& config, bool skeena_on,
   opts.anchor = config.anchor;
   opts.log_latency = config.log_latency;
   opts.record_history = config.record_history;
-  opts.mem.log = config.log;
-  opts.stor.log = config.log;
   if (config.log_disk != MicroConfig::LogDisk::kNone) {
     // Only the engine logs go to disk: data_dir stays empty so tables and
     // catalog stay on MemDevices and the WAL write path is what's measured.

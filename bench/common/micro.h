@@ -45,10 +45,6 @@ struct MicroConfig {
   enum class LogDisk { kNone, kFilePwrite, kSegmented, kSegmentedUring };
   LogDisk log_disk = LogDisk::kNone;
 
-  /// Group-commit window knobs, applied to both engines' logs (the
-  /// batch-window axis of the flush-backend ablation).
-  LogManager::Options log;
-
   // Verification-hook cost measurement (bench/recording_overhead.cc).
   bool record_history = false;
 };

@@ -55,22 +55,15 @@ uint64_t NowNs() {
           .count());
 }
 
-DatabaseOptions FastLogOptions() {
-  DatabaseOptions opts;
-  opts.mem.log.flush_interval_us = 20;
-  opts.stor.log.flush_interval_us = 20;
-  return opts;
-}
-
 RunResult RunCell(int write_rate, int readers, uint64_t duration_ms) {
   repl::CsrInstallJournal journal;
-  DatabaseOptions popts = FastLogOptions();
+  DatabaseOptions popts;
   popts.csr.install_observer = journal.Observer();
   Database primary(popts);
   auto p_mem = *primary.CreateTable("mem_t", EngineKind::kMem);
   auto p_stor = *primary.CreateTable("stor_t", EngineKind::kStor);
 
-  DatabaseOptions ropts = FastLogOptions();
+  DatabaseOptions ropts;
   ropts.replica = true;
   Database replica_db(ropts);
   auto r_mem = *replica_db.CreateTable("mem_t", EngineKind::kMem);

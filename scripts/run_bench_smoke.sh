@@ -55,8 +55,7 @@ if doc["bench"] == "ablation_commit":
     parks = [p for p in doc["points"] if "commit waits" in p["matrix"]]
     assert wake, "no wakeup-count points in BENCH_ablation_commit.json"
     assert parks, "no park-count points in BENCH_ablation_commit.json"
-    expected_rows = {"pipelined, 1 queue", "pipelined, 4 queues",
-                     "synchronous flush"}
+    expected_rows = {"pipelined, waits on flusher", "synchronous flush"}
     for name, pts in (("wakeups", wake), ("parks", parks)):
         rows = {p["row"] for p in pts}
         assert rows == expected_rows, f"{name} rows {rows} != {expected_rows}"
@@ -66,7 +65,7 @@ if doc["bench"] == "ablation_commit":
     assert all(v == 0 for v in sync_wakes), \
         f"sync mode issued completion wakeups: {sync_wakes}"
     print(f"  OK wakeup fields: {len(wake)} wakeup + {len(parks)} park points")
-    # Raw-speed log path: the flush-backend x commit-window matrices must
+    # Raw-speed log path: the flush-backend matrices must
     # cover every metric for the pwrite and segmented rows (the io_uring row
     # is present only where the kernel supports it), and the contended-append
     # matrix must show the reservation ring not collapsing under threads.

@@ -103,8 +103,8 @@ Status MemEngineAdapter::FlushLog() {
   return engine_.log() == nullptr ? Status::OK() : engine_.log()->Flush();
 }
 
-void MemEngineAdapter::WaitDurable(Lsn lsn) {
-  if (engine_.log() != nullptr) engine_.log()->WaitDurable(lsn);
+bool MemEngineAdapter::WaitDurable(Lsn lsn) {
+  return engine_.log() != nullptr && engine_.log()->WaitDurable(lsn);
 }
 
 LogManager* MemEngineAdapter::Log() { return engine_.log(); }
@@ -196,8 +196,8 @@ Status StorEngineAdapter::FlushLog() {
   return engine_.log() == nullptr ? Status::OK() : engine_.log()->Flush();
 }
 
-void StorEngineAdapter::WaitDurable(Lsn lsn) {
-  if (engine_.log() != nullptr) engine_.log()->WaitDurable(lsn);
+bool StorEngineAdapter::WaitDurable(Lsn lsn) {
+  return engine_.log() != nullptr && engine_.log()->WaitDurable(lsn);
 }
 
 LogManager* StorEngineAdapter::Log() { return engine_.log(); }

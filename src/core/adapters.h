@@ -51,7 +51,7 @@ class MemEngineAdapter : public EngineIface {
   Lsn CurrentLsn() const override;
   Lsn DurableLsn() const override;
   Status FlushLog() override;
-  void WaitDurable(Lsn lsn) override;
+  bool WaitDurable(Lsn lsn) override;
   LogManager* Log() override;
 
   Status Recover(const std::set<GlobalTxnId>& excluded) override;
@@ -102,7 +102,7 @@ class StorEngineAdapter : public EngineIface {
   Lsn CurrentLsn() const override;
   Lsn DurableLsn() const override;
   Status FlushLog() override;
-  void WaitDurable(Lsn lsn) override;
+  bool WaitDurable(Lsn lsn) override;
   LogManager* Log() override;
 
   Status Recover(const std::set<GlobalTxnId>& excluded) override;

@@ -33,13 +33,11 @@ CommitPipeline::~CommitPipeline() {
   for (auto& d : daemons_) d.join();
   // Drain anything left: force both logs durable, then complete — and keep
   // doing so until the last in-flight EnqueueAndWait has exited. A
-  // straddling waiter may push its entry only after our first sweep (it
-  // incremented in_flight_ but hadn't enqueued yet), so a single pass
-  // could strand it parked forever; re-draining until in_flight_ hits
-  // zero completes every such entry, and a completed waiter cannot
-  // re-park (it rechecks done() before any park). Only after that is it
-  // safe to free the queues and stat counters the exiting waiters touch.
-  // With the daemons joined, this thread is the queues' single consumer.
+  // straddling waiter may append after our first flush and then park in
+  // WaitDurable on a log with no background flusher, so each round flushes
+  // both logs again while anyone is in flight. Only after that is it safe
+  // to free the queues and stat counters the exiting waiters touch. With
+  // the daemons joined, this thread is the queues' single consumer.
   while (true) {
     for (auto& q : queues_) {
       std::deque<PendingCommit> left;
@@ -53,15 +51,11 @@ CommitPipeline::~CommitPipeline() {
         completed_.fetch_add(1, std::memory_order_relaxed);
         if (e.waiter != nullptr) e.waiter->Complete();
       }
-      // Release anyone still parked on the drain word (same bump-then-
-      // check-waiters order as the daemon, so the syscall is elided when
-      // nobody parked).
-      q->drain_seq.fetch_add(1, std::memory_order_seq_cst);
-      if (q->parked_waiters.load(std::memory_order_seq_cst) != 0) {
-        ParkingLot::WakeAll(q->drain_seq);
-      }
     }
     if (in_flight_.load(std::memory_order_acquire) == 0) break;
+    for (int i = 0; i < 2; ++i) {
+      if (engines_[i] != nullptr) engines_[i]->FlushLog();
+    }
     // A straddler may be descheduled mid-call; give its core up rather
     // than spinning the sweep.
     std::this_thread::yield();
@@ -188,42 +182,28 @@ void CommitPipeline::EnqueueAndWait(const Lsn lsns[2],
     Enqueue(lsns, waiter, queue_hint);  // completes inline
     return;
   }
-  // The in-flight count keeps the destructor from freeing the queues and
-  // stat counters while a waiter woken off the drain word is still
-  // touching them on its way out.
+  // No daemon hop: wait for each engine's durable LSN on the caller's
+  // thread. Each log's flusher releases every waiter an advance covers with
+  // one batched unpark, so a daemon in between would only add a second
+  // wake. The in-flight count keeps the destructor from freeing the stat
+  // counters while a waiter is still on its way out.
   in_flight_.fetch_add(1, std::memory_order_acquire);
-  Queue& q = QueueFor(queue_hint);
-  Enqueue(lsns, waiter, queue_hint);
-  // Spin first: the daemon often completes a drain within the budget, and
-  // a spin success costs zero syscalls on both sides.
-  if (SpinUntil([&] { return waiter->done(); })) {
-    waiter_spin_successes_.Add(1);
-    in_flight_.fetch_sub(1, std::memory_order_release);
-    return;
-  }
-  // Park on the queue's drain word, not the waiter's own word: every
-  // waiter of a drain shares one word, so the daemon releases all of them
-  // with a single WakeAll. Waiters of a later drain wake spuriously,
-  // recheck, and re-park on the new sequence value.
   bool parked = false;
-  while (!waiter->done()) {
-    uint32_t seq = q.drain_seq.load(std::memory_order_acquire);
-    if (waiter->done()) break;
-    q.parked_waiters.fetch_add(1, std::memory_order_seq_cst);
-    if (!waiter->done()) {
-      // Park reports whether the thread truly blocked — a drain racing in
-      // between makes it return immediately, which stays a spin success.
-      parked |= ParkingLot::Park(q.drain_seq, seq);
+  for (int i = 0; i < 2; ++i) {
+    if (lsns[i] != 0 && engines_[i] != nullptr) {
+      parked |= engines_[i]->WaitDurable(lsns[i]);
     }
-    q.parked_waiters.fetch_sub(1, std::memory_order_relaxed);
   }
   // Every wait resolves in exactly one bucket: blocked in the kernel at
-  // least once, or never needed it (spin budget or a recheck win).
+  // least once, or never needed it (already durable, or the spin budget).
   if (parked) {
     waiter_parks_.Add(1);
   } else {
     waiter_spin_successes_.Add(1);
   }
+  completed_.fetch_add(1, std::memory_order_relaxed);
+  completed_inline_.Add(1);
+  if (waiter->Complete()) wake_syscalls_.Add(1);
   in_flight_.fetch_sub(1, std::memory_order_release);
 }
 
@@ -270,8 +250,8 @@ void CommitPipeline::DaemonLoop(size_t queue_idx) {
       }
     }
     // Absorb entries that arrived during the wait: the ones this advance
-    // already covers complete in the same pass — and share its single
-    // unpark — instead of waiting out another flush round.
+    // already covers complete in the same pass instead of waiting out
+    // another flush round.
     DrainInto(q, batch);
     std::deque<PendingCommit> covered;
     std::deque<PendingCommit> leftover;
@@ -284,21 +264,13 @@ void CommitPipeline::DaemonLoop(size_t queue_idx) {
     }
     batch.swap(leftover);  // uncovered entries lead the next drain
     // Publish the count before releasing any waiter: a client returning
-    // from EnqueueAndWait must already be reflected in completed().
+    // from Wait() must already be reflected in completed().
     completed_.fetch_add(covered.size(), std::memory_order_relaxed);
     drain_batches_.Add(1);
     for (PendingCommit& e : covered) {
       if (e.waiter != nullptr && e.waiter->Complete()) {
         wake_syscalls_.Add(1);
       }
-    }
-    // One batched unpark releases every waiter parked on this drain; skip
-    // the syscall entirely when nobody parked (they all spun or wait on
-    // their own handle).
-    q.drain_seq.fetch_add(1, std::memory_order_seq_cst);
-    if (q.parked_waiters.load(std::memory_order_seq_cst) != 0) {
-      ParkingLot::WakeAll(q.drain_seq);
-      wake_syscalls_.Add(1);
     }
   }
 }

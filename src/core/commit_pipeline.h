@@ -16,17 +16,16 @@
 
 namespace skeena {
 
-/// Completion handle a committing client blocks on. Results of a
+/// Completion handle for a committed transaction. Results of a
 /// transaction become visible internally at post-commit, but are only
-/// released to the application once the commit daemon observes both
-/// engines' durable LSNs covering the transaction (paper Section 4.5).
+/// released to the application once both engines' durable LSNs cover the
+/// transaction (paper Section 4.5).
 ///
 /// The handle is one atomic state word (kPending → kDone) instead of a
 /// mutex+condvar: completion is a single exchange, and the kernel is only
-/// touched when a waiter actually parked on this word (kParked). Pipelined
-/// commits normally never do — they park on the queue's shared drain word
-/// (see CommitPipeline::EnqueueAndWait) so one batched unpark releases a
-/// whole durable-LSN advance.
+/// touched when a waiter actually parked on this word (kParked). Blocking
+/// commits never do — CommitPipeline::EnqueueAndWait waits on the logs'
+/// durable words directly and completes the handle itself.
 class CommitWaiter {
  public:
   /// Marks the waiter done and unparks any thread parked on this word.
@@ -72,22 +71,26 @@ class CommitWaiter {
 };
 
 /// Skeena's extended group/pipelined commit (paper Section 4.5, after
-/// Aether [34]): worker threads detach committing transactions onto a
-/// commit queue and move on; a committer daemon monitors the durable LSNs
-/// of *both* engines and completes transactions whose sub-transactions'
-/// log records have fully persisted. Single-engine and read-only
-/// transactions also pass through the queue because they may have read
-/// cross-engine results that are not yet durable.
+/// Aether [34]): a transaction is released to its client only once the
+/// durable LSNs of *both* engines cover its log records. Single-engine and
+/// read-only transactions gate too, because they may have read cross-engine
+/// results that are not yet durable.
 ///
-/// Wakeup path: the daemon drains its queue in one pass, waits once per
-/// engine for the batch's maximum LSN, completes every covered transaction,
-/// and issues ONE batched unpark on the queue's drain word — syscall
-/// wakeups per commit shrink with the batch size instead of being 1.0 by
-/// construction (see DESIGN.md "Commit wakeup path").
+/// Two entry points:
+///  * EnqueueAndWait (every Transaction::Commit): the committing thread
+///    waits on each engine's WaitDurable itself and completes inline. The
+///    logs' self-clocked flushers batch the commits that arrive during a
+///    flush period, and one unpark per flush releases them all — one wake
+///    hop per commit, no daemon in between (see DESIGN.md "Commit wakeup
+///    path").
+///  * Enqueue (asynchronous callers): detaches the transaction onto a
+///    commit queue; a committer daemon drains the queue, waits once per
+///    engine for the batch's maximum LSN, and completes every covered
+///    entry. Entries already durable complete inline.
 class CommitPipeline {
  public:
   enum class Mode {
-    kPipelined,  // queue + daemon (the paper's design)
+    kPipelined,  // wait on the group-commit flushers; Enqueue uses a daemon
     kSync,       // ablation: force both logs durable on the caller's thread
   };
 
@@ -101,9 +104,10 @@ class CommitPipeline {
   /// Wakeup accounting (sharded counters; folded on read).
   struct Stats {
     uint64_t completed = 0;
-    /// Kernel unpark syscalls issued to release committers: one per daemon
-    /// drain with parked waiters, plus direct CommitWaiter wakes (waiters
-    /// that parked on their own handle instead of the queue drain word).
+    /// Kernel unpark syscalls the pipeline issued to release committers:
+    /// CommitWaiter wakes of Wait() callers parked on their own handle. The
+    /// logs' durable-advance wakes of EnqueueAndWait callers are counted in
+    /// LogManager::Stats::durable_wakes, not here.
     uint64_t wake_syscalls = 0;
     /// Producer→daemon work wakeups (empty→non-empty enqueues that found
     /// the daemon parked).
@@ -111,17 +115,18 @@ class CommitPipeline {
     /// EnqueueAndWait waits that truly blocked in the kernel at least once
     /// (immediate park returns — the word moved first — do not count).
     uint64_t waiter_parks = 0;
-    /// EnqueueAndWait waits resolved without parking (spin budget or a
-    /// pre-park recheck win). waiter_parks + waiter_spin_successes equals
-    /// the number of pipelined EnqueueAndWait calls.
+    /// EnqueueAndWait waits resolved without parking (already durable, the
+    /// spin budget, or a pre-park recheck win). waiter_parks +
+    /// waiter_spin_successes equals the number of pipelined EnqueueAndWait
+    /// calls.
     uint64_t waiter_spin_successes = 0;
     /// Daemon drain passes that completed >= 1 transaction.
     uint64_t drain_batches = 0;
     /// Entries pushed onto a commit queue via the wait-free MPSC exchange.
     uint64_t enqueued = 0;
-    /// Completions that never touched a queue: both logs already durable
-    /// at Enqueue, or kSync mode. Once drained,
-    /// completed == enqueued + completed_inline.
+    /// Completions that never touched a queue: every EnqueueAndWait, an
+    /// Enqueue whose LSNs were already durable, and kSync mode. Once
+    /// drained, completed == enqueued + completed_inline.
     uint64_t completed_inline = 0;
     /// Daemon retries that found a producer mid-push (tail exchanged, next
     /// pointer not yet linked) — the only wait anywhere in the handoff.
@@ -144,9 +149,10 @@ class CommitPipeline {
   void Enqueue(const Lsn lsns[2], std::shared_ptr<CommitWaiter> waiter,
                size_t queue_hint = 0);
 
-  /// Convenience: enqueue + block until durable. Spins briefly, then parks
-  /// on the queue's shared drain word so the daemon's batched unpark (one
-  /// syscall per drain) covers every waiter of that drain.
+  /// Blocks until `lsns` are durable in both engines, then completes
+  /// `waiter`. Waits on each engine's WaitDurable on the calling thread —
+  /// it never touches a queue or the daemon. Only the asynchronous Enqueue
+  /// path uses `queue_hint`.
   void EnqueueAndWait(const Lsn lsns[2],
                       const std::shared_ptr<CommitWaiter>& waiter,
                       size_t queue_hint = 0);
@@ -198,10 +204,6 @@ class CommitPipeline {
     /// shutdown; the daemon parks here when its queue is empty.
     std::atomic<uint32_t> work_seq{0};
     std::atomic<uint32_t> daemon_parked{0};
-    /// Drain word: bumped once per daemon drain pass. EnqueueAndWait
-    /// waiters park here, so one WakeAll releases the whole batch.
-    std::atomic<uint32_t> drain_seq{0};
-    std::atomic<uint32_t> parked_waiters{0};
   };
 
   Queue& QueueFor(size_t hint) {
@@ -228,8 +230,8 @@ class CommitPipeline {
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> completed_{0};
   /// Pipelined EnqueueAndWait calls currently inside the wait path; the
-  /// destructor spins this to zero after completing + unparking everyone,
-  /// so exiting waiters never touch freed queue/counter state.
+  /// destructor flushes both logs until this reaches zero, so exiting
+  /// waiters never touch freed counter state.
   std::atomic<uint64_t> in_flight_{0};
 
   ShardedCounter wake_syscalls_;

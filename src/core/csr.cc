@@ -294,11 +294,19 @@ Status SnapshotRegistry::CommitCheck(Timestamp anchor_cts,
                                      bool anchor_engine_wrote,
                                      bool other_engine_wrote) {
   TickAccess();
+  MutexLock lock(write_mu_);
+  return CommitCheckLocked(anchor_cts, other_cts, anchor_engine_wrote,
+                           other_engine_wrote);
+}
+
+Status SnapshotRegistry::CommitCheckLocked(Timestamp anchor_cts,
+                                           Timestamp other_cts,
+                                           bool anchor_engine_wrote,
+                                           bool other_engine_wrote) {
   // No epoch guard: the whole body runs under write_mu_, and every retire
   // of lists/partitions happens under the same mutex, so nothing reachable
   // from the published list can be reclaimed while we hold it. Pinning
   // here would stall epoch advancement for the lock wait + check + install.
-  MutexLock lock(write_mu_);
   PartitionList* list = list_.load(std::memory_order_relaxed);
   if (list->parts.empty()) {
     // First mapping ever: bounds are trivially open.

@@ -124,6 +124,37 @@ class SnapshotRegistry {
                      bool anchor_engine_wrote = true,
                      bool other_engine_wrote = true);
 
+  /// The commit-timestamp pair a pre-commit callback hands to
+  /// OrderedCommitCheck (same meaning as CommitCheck's arguments).
+  struct CommitPair {
+    Timestamp anchor_cts = 0;
+    Timestamp other_cts = 0;
+    bool anchor_engine_wrote = false;
+    bool other_engine_wrote = false;
+  };
+
+  /// One cross-engine commit order: runs `pre_commit(CommitPair*)` — which
+  /// draws the engines' commit timestamps and fills the pair — and then
+  /// Algorithm 2 on the pair, all under the writer mutex. Every commit
+  /// that installs a mapping goes through here, so no two such commits'
+  /// timestamp draws interleave: their anchor and other-engine orders
+  /// agree, and a reader's selection (SelectSlow, also under the mutex)
+  /// never straddles a commit whose first timestamp is drawn but whose
+  /// second is not. A non-OK status from `pre_commit` is returned as is;
+  /// the caller aborts after this returns, outside the mutex. Lock order:
+  /// write_mu_ is taken before anything `pre_commit` acquires (record
+  /// latches, engine-internal latches, log ring space).
+  template <typename PreCommit>
+  Status OrderedCommitCheck(PreCommit&& pre_commit) {
+    TickAccess();  // may try-lock write_mu_ to recycle: before we hold it
+    MutexLock lock(write_mu_);
+    CommitPair pair;
+    SKEENA_RETURN_NOT_OK(pre_commit(&pair));
+    return CommitCheckLocked(pair.anchor_cts, pair.other_cts,
+                             pair.anchor_engine_wrote,
+                             pair.other_engine_wrote);
+  }
+
   /// Provider of the oldest anchor snapshot still in use; partitions
   /// entirely below it are recycled.
   void SetMinAnchorProvider(std::function<Timestamp()> provider) {
@@ -260,6 +291,11 @@ class SnapshotRegistry {
   Result<Timestamp> SelectSlow(Timestamp anchor_snap,
                                const std::function<Timestamp()>& latest_other);
 
+  // Algorithm 2 body shared by both CommitCheck entry points.
+  Status CommitCheckLocked(Timestamp anchor_cts, Timestamp other_cts,
+                           bool anchor_engine_wrote, bool other_engine_wrote)
+      SKEENA_REQUIRES(write_mu_);
+
   void RecycleLocked(Timestamp min_snap) SKEENA_REQUIRES(write_mu_);
   void TickAccess();
 
@@ -270,9 +306,10 @@ class SnapshotRegistry {
   EpochManager* epoch_;
 
   // Serializes all mutations (mapping installs, partition creation,
-  // recycling). Readers never take it. list_ itself is NOT guarded (the
-  // read path is lock-free under epoch protection); only the
-  // exchange-and-retire in PublishLocked requires it.
+  // recycling) and, through OrderedCommitCheck, the commit-timestamp draws
+  // of every commit that installs a mapping. Readers never take it. list_
+  // itself is NOT guarded (the read path is lock-free under epoch
+  // protection); only the exchange-and-retire in PublishLocked requires it.
   Mutex write_mu_;
   std::atomic<PartitionList*> list_;
 

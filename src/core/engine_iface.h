@@ -82,8 +82,9 @@ class EngineIface {
   virtual Lsn CurrentLsn() const = 0;
   virtual Lsn DurableLsn() const = 0;
   virtual Status FlushLog() = 0;
-  /// Blocks until `lsn` is durable (used by the commit daemon).
-  virtual void WaitDurable(Lsn lsn) = 0;
+  /// Blocks until `lsn` is durable (used by committing threads and the
+  /// commit daemon). Returns true iff the caller blocked in the kernel.
+  virtual bool WaitDurable(Lsn lsn) = 0;
 
   /// This engine's log manager, for observer wiring (the replication
   /// shipper hooks durable-LSN advances); null when the engine runs

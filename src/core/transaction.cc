@@ -304,51 +304,57 @@ Status Transaction::Commit() {
   bool cross = used_[0] && used_[1];
 
   // ---- Step 1: pre-commit every sub-transaction, anchor first, obtaining
-  // engine-level commit timestamps (Section 4.5).
+  // engine-level commit timestamps (Section 4.5). The write/read-only
+  // classification per engine is needed by both the commit check and the
+  // history record; it is valid only before post-commit.
   Timestamp cts[kNumEngines] = {0, 0};
-  int order[2] = {anchor, other};
-  for (int i = 0; i < 2; ++i) {
-    int e = order[i];
-    if (!used_[e]) continue;
-    Status s = db_->engine(e)->PreCommit(subs_[e].get(), gtid_,
-                                         cross && skeena_on_, &cts[e]);
-    if (!s.ok()) {
-      Abort();
-      return s;
-    }
-  }
-
-  // Write/read-only classification per engine, needed by both the commit
-  // check and the history record; valid only before post-commit.
   bool wrote[kNumEngines] = {false, false};
-  for (int e = 0; e < kNumEngines; ++e) {
-    if (used_[e]) wrote[e] = !db_->engine(e)->IsReadOnly(subs_[e].get());
-  }
+  int order[2] = {anchor, other};
+  auto pre_commit = [&]() -> Status {
+    for (int i = 0; i < 2; ++i) {
+      int e = order[i];
+      if (!used_[e]) continue;
+      SKEENA_RETURN_NOT_OK(db_->engine(e)->PreCommit(
+          subs_[e].get(), gtid_, cross && skeena_on_, &cts[e]));
+      wrote[e] = !db_->engine(e)->IsReadOnly(subs_[e].get());
+    }
+    return Status::OK();
+  };
 
   // ---- Step 2: Skeena commit check. An "all-yes" pre-commit is not
   // sufficient — unlike 2PC, the transaction may still abort here.
-  // Replica readers skip it: their pair was gate-proven consistent, and
-  // running the check would install read mappings into the replayed CSR.
-  if (skeena_on_ && !db_->replica()) {
-    Status check = Status::OK();
-    if (cross) {
-      check = db_->csr().CommitCheck(cts[anchor], cts[other], wrote[anchor],
-                                     wrote[other]);
-    } else if (used_[other]) {
-      // Single-engine in the non-anchor (slow) engine: still effectively
-      // cross-engine — its commit must respect the anchor's start order
-      // (Section 4.3). The anchor-side commit timestamp of a transaction
-      // with no anchor writes is its anchor begin snapshot.
-      check = db_->csr().CommitCheck(anchor_snap_, cts[other],
-                                     /*anchor_engine_wrote=*/false,
-                                     wrote[other]);
-    }
-    // Anchor-only transactions never touch the CSR (Table 3: ERMIA-S
-    // matches ERMIA).
-    if (!check.ok()) {
-      Abort();  // aborts both pre-committed sub-transactions
-      return check;
-    }
+  // Transactions that touched the non-anchor engine run step 1 and the
+  // check as one unit under the CSR writer mutex (OrderedCommitCheck), so
+  // their timestamp draws never interleave and the two engines agree on
+  // their commit order. Single-engine work in the non-anchor (slow) engine
+  // is still effectively cross-engine — its commit must respect the
+  // anchor's start order (Section 4.3). The anchor-side position of a
+  // transaction with no anchor writes is its anchor snapshot — the one its
+  // other-engine view was selected against. Under read committed that is
+  // the latest refresh, not the anchor engine's older begin timestamp:
+  // pairing that with a newer other-engine view would publish a mapping a
+  // later snapshot reader could tear on.
+  // Anchor-only transactions never touch the CSR (Table 3: ERMIA-S matches
+  // ERMIA). Replica readers skip the check: their pair was gate-proven
+  // consistent, and running it would install read mappings into the
+  // replayed CSR.
+  Status s;
+  if (skeena_on_ && !db_->replica() && used_[other]) {
+    s = db_->csr().OrderedCommitCheck(
+        [&](SnapshotRegistry::CommitPair* pair) -> Status {
+          SKEENA_RETURN_NOT_OK(pre_commit());
+          pair->anchor_cts = wrote[anchor] ? cts[anchor] : anchor_snap_;
+          pair->other_cts = cts[other];
+          pair->anchor_engine_wrote = wrote[anchor];
+          pair->other_engine_wrote = wrote[other];
+          return Status::OK();
+        });
+  } else {
+    s = pre_commit();
+  }
+  if (!s.ok()) {
+    Abort();  // aborts every pre-committed sub-transaction
+    return s;
   }
 
   // ---- Step 3: post-commit in the same (anchor-first) order in both

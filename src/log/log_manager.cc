@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstring>
+#include <thread>
 
 namespace skeena {
 
@@ -62,7 +63,6 @@ LogManager::LogManager(std::unique_ptr<StorageDevice> device, Options options)
   max_append_ = capacity_ - block_bytes_;
   ring_ = std::make_unique<uint8_t[]>(capacity_);
   released_ = std::make_unique<BlockCount[]>(n_blocks_);
-  window_us_.store(options_.flush_interval_us, std::memory_order_relaxed);
 
   const Lsn tail = RecoverTail();
   reserved_.store(tail, std::memory_order_relaxed);
@@ -169,17 +169,12 @@ Lsn LogManager::Append(std::span<const uint8_t> record) {
   appends_.Add(1);
   append_bytes_.Add(total);
 
-  // Wake the flusher only on the empty -> non-empty edge and the watermark
-  // crossing; every other append in a batch stays mutex- and syscall-free.
-  if (options_.auto_flush) {
-    const uint64_t staged_before = start - flushed_before;
-    const uint64_t staged_after = end - flushed_before;
-    if (staged_before == 0 ||
-        (staged_before < options_.flush_watermark &&
-         staged_after >= options_.flush_watermark)) {
-      MutexLock guard(flusher_mu_);
-      flusher_cv_.NotifyOne();
-    }
+  // Wake the flusher only on the empty -> non-empty edge: a flusher that is
+  // busy re-checks for staged bytes after every pass, so every other append
+  // stays mutex- and syscall-free.
+  if (options_.auto_flush && start == flushed_before) {
+    MutexLock guard(flusher_mu_);
+    flusher_cv_.NotifyOne();
   }
   return end;
 }
@@ -284,6 +279,7 @@ Status LogManager::FlushPass() {
     durable_seq_.fetch_add(1, std::memory_order_seq_cst);
     if (durable_waiters_.load(std::memory_order_seq_cst) > 0) {
       ParkingLot::WakeAll(durable_seq_);
+      durable_wakes_.fetch_add(1, std::memory_order_relaxed);
     }
 
     if (durable_observer_) durable_observer_(shipped);
@@ -304,75 +300,64 @@ Status LogManager::Flush() {
   return Status::OK();
 }
 
-void LogManager::WaitDurable(Lsn lsn) {
-  if (DurableLsn() >= lsn) return;
-  if (SpinUntil([&] { return DurableLsn() >= lsn; })) return;
+bool LogManager::WaitDurable(Lsn lsn) {
+  if (DurableLsn() >= lsn) return false;
+  if (SpinUntil([&] { return DurableLsn() >= lsn; })) return false;
+  bool parked = false;
   while (true) {
     // Futex protocol: read the sequence, recheck the predicate, park only
     // while the sequence is unchanged. A flusher that advances durability
     // between the recheck and the park bumps the word first, so the park
     // returns immediately instead of missing the wake.
     const uint32_t seq = durable_seq_.load(std::memory_order_acquire);
-    if (DurableLsn() >= lsn) return;
+    if (DurableLsn() >= lsn) return parked;
     durable_waiters_.fetch_add(1, std::memory_order_seq_cst);
     if (DurableLsn() < lsn) {
-      ParkingLot::Park(durable_seq_, seq);
+      parked |= ParkingLot::Park(durable_seq_, seq);
     }
     durable_waiters_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
 void LogManager::FlusherLoop() {
-  uint64_t window = options_.flush_interval_us;
+  // Idle backstop: bounds shutdown latency and paces retries after a
+  // device error. Never a batch window — see the class comment.
+  constexpr auto kIdleBackstop = std::chrono::milliseconds(5);
+  auto stopping = [&] { return stop_.load(std::memory_order_acquire); };
   while (true) {
-    // Idle phase: sleep until bytes arrive (or stop). The timed backstop
-    // bounds shutdown latency and collapses the adaptive window when the
-    // log goes quiet.
+    // Sleep until bytes are staged (or stop). A flusher that just finished
+    // a pass finds the next batch already staged and skips the wait.
     {
       MutexLock lock(flusher_mu_);
-      const bool woke =
-          flusher_cv_.WaitFor(flusher_mu_, std::chrono::milliseconds(5), [&] {
-            return stop_.load(std::memory_order_acquire) ||
-                   (options_.auto_flush && HasStaged());
-          });
-      if (!woke) {
-        if (options_.adaptive_flush && window != options_.flush_interval_us) {
-          window = options_.flush_interval_us;
-          window_shrinks_.fetch_add(1, std::memory_order_relaxed);
-          window_us_.store(window, std::memory_order_relaxed);
-        }
-        continue;
-      }
-    }
-    if (stop_.load(std::memory_order_acquire)) return;
-
-    // Batch phase: let the group-commit window fill, leaving early if the
-    // watermark trips.
-    {
-      MutexLock lock(flusher_mu_);
-      flusher_cv_.WaitFor(flusher_mu_, std::chrono::microseconds(window), [&] {
-        return stop_.load(std::memory_order_acquire) ||
-               StagedBytes() >= options_.flush_watermark;
+      const bool woke = flusher_cv_.WaitFor(flusher_mu_, kIdleBackstop, [&] {
+        return stopping() || (options_.auto_flush && HasStaged());
       });
+      if (!woke) continue;
     }
-    if (stop_.load(std::memory_order_acquire)) return;
+    if (stopping()) return;
 
-    FlushPass();  // device errors: bytes stay staged and are retried
-
-    if (options_.adaptive_flush) {
-      // Bytes already waiting again means arrivals outpace the window:
-      // widen it toward the latency budget so each sync amortizes over a
-      // bigger batch. An empty log after the flush means the burst passed:
-      // collapse so the next stray commit isn't held for the long window.
-      if (HasStaged() && window < options_.max_flush_interval_us) {
-        window = std::min(window * 2, options_.max_flush_interval_us);
-        window_grows_.fetch_add(1, std::memory_order_relaxed);
-        window_us_.store(window, std::memory_order_relaxed);
-      } else if (!HasStaged() && window != options_.flush_interval_us) {
-        window = options_.flush_interval_us;
-        window_shrinks_.fetch_add(1, std::memory_order_relaxed);
-        window_us_.store(window, std::memory_order_relaxed);
-      }
+    const Lsn flushed_before = flushed_.load(std::memory_order_acquire);
+    const Lsn durable_before = durable_lsn_.load(std::memory_order_acquire);
+    const auto pass_start = std::chrono::steady_clock::now();
+    if (!FlushPass().ok()) {
+      // Device error: the bytes stay staged. Retry after the backstop
+      // rather than hammering a failing device in a tight loop.
+      MutexLock lock(flusher_mu_);
+      flusher_cv_.WaitFor(flusher_mu_, kIdleBackstop, stopping);
+      continue;
+    }
+    if (flushed_.load(std::memory_order_acquire) == flushed_before &&
+        HasStaged()) {
+      // No progress: the oldest staged bytes belong to an appender still
+      // mid-copy. It publishes in bounded time; give it the core instead
+      // of re-walking the ring at full speed.
+      std::this_thread::yield();
+    } else if (durable_lsn_.load(std::memory_order_acquire) != durable_before) {
+      // A flush landed: hold the next one until the period is up. Commits
+      // arriving meanwhile stage into the next batch; an appender's wake-up
+      // finds no waiter and costs nothing, and the wait at the loop top
+      // sees their bytes staged.
+      std::this_thread::sleep_until(pass_start + kMinFlushPeriod);
     }
   }
 }
@@ -385,9 +370,7 @@ LogManager::Stats LogManager::stats() const {
   s.flushed_bytes = flushed_bytes_.load(std::memory_order_relaxed);
   s.max_batch_bytes = max_batch_bytes_.load(std::memory_order_relaxed);
   s.space_waits = space_waits_.Read();
-  s.window_us = window_us_.load(std::memory_order_relaxed);
-  s.window_grows = window_grows_.load(std::memory_order_relaxed);
-  s.window_shrinks = window_shrinks_.load(std::memory_order_relaxed);
+  s.durable_wakes = durable_wakes_.load(std::memory_order_relaxed);
   s.flush_gap_ns_total = flush_gap_ns_total_.load(std::memory_order_relaxed);
   s.staged_at_flush_total =
       staged_at_flush_total_.load(std::memory_order_relaxed);

@@ -2,6 +2,7 @@
 #define SKEENA_LOG_LOG_MANAGER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -31,15 +32,30 @@ inline constexpr size_t kLogFrameHeaderSize = 2 * sizeof(uint32_t);
 /// vanishingly unlikely to parse as a valid frame.
 uint32_t LogFrameCheck(std::span<const uint8_t> payload);
 
-/// Append-only write-ahead log with group commit.
+/// Append-only write-ahead log with self-clocked group commit.
 ///
 /// Workers append framed records into an in-memory reservation ring and
 /// immediately continue — this is the foundation of the pipelined commit
-/// protocol (paper Section 4.5, after Aether [34]): transactions never wait
-/// for their own flush; a background flusher batches the completed prefix to
-/// the device and advances `durable_lsn()`, which Skeena's committer daemon
-/// parks on to decide when a cross-engine transaction's results may be
-/// released to the client.
+/// protocol (paper Section 4.5, after Aether [34]): transactions never
+/// issue their own flush; a background flusher ships the completed prefix
+/// to the device and advances `durable_lsn()`, which a committing thread
+/// waits on (WaitDurable) before its results are released to the client.
+///
+/// Group commit is self-clocked: the flusher sleeps until bytes are staged,
+/// flushes everything staged, and repeats. There is no batch window —
+/// whatever arrives while one flush is on the device forms the next batch,
+/// so the batch size follows the device's own latency (an fsync amortizes
+/// over every commit that arrived during it). A lone commit on an idle log
+/// is flushed at once.
+///
+/// Flushes start at least kMinFlushPeriod apart. On a device that syncs
+/// that fast (memory, tmpfs) the flusher would otherwise flush per commit:
+/// every commit then costs a flusher wake-up plus a waiter wake-up, and
+/// commit throughput follows how quickly the scheduler turns threads
+/// around (on a 4-vCPU VM it spread ~7 % between runs and fell ~30 % with
+/// one CPU taken away). With the floor, a saturated log flushes on a
+/// steady period and each flush releases every commit that arrived during
+/// it. A device whose flush takes longer than the floor never sees it.
 ///
 /// Append fast path (no mutex, no shared writes beyond three atomics):
 ///  1. one fetch_add on the reservation word claims [lsn-len, lsn);
@@ -62,20 +78,16 @@ uint32_t LogFrameCheck(std::span<const uint8_t> payload);
 /// bury mid-log), resuming LSN allocation at the valid end.
 class LogManager {
  public:
+  /// Shortest time between the starts of two background flushes (see the
+  /// class comment). The flusher sleeps off the rest of it, so the kernel's
+  /// timer slack (50 us by default on Linux) stretches the period further.
+  static constexpr std::chrono::microseconds kMinFlushPeriod{50};
+
   struct Options {
-    /// Minimum (and initial) group-commit window: the flusher batches at
-    /// least this long before flushing, unless the watermark trips first.
-    uint64_t flush_interval_us = 50;
-    /// Adaptive ceiling: under sustained load the window grows toward this
-    /// latency budget so each device sync amortizes over more commits; it
-    /// collapses back to flush_interval_us when the log goes idle.
+    /// Deprecated, ignored: the ceiling of the removed adaptive batch
+    /// window. Kept for one release so benchmark code that still reads it
+    /// compiles; delete together with Stats::window_us.
     uint64_t max_flush_interval_us = 1000;
-    /// Grow/collapse the window between the two bounds above; when false
-    /// the window is pinned at flush_interval_us (the pre-adaptive
-    /// behaviour, used by latency-sensitive ablations).
-    bool adaptive_flush = true;
-    /// Flush as soon as this many staged bytes accumulate.
-    size_t flush_watermark = 64 * 1024;
     /// Reservation ring capacity (rounded up to a power of two, min 64 KiB).
     /// With auto_flush off, the total un-flushed bytes must stay under
     /// capacity minus one block or Append parks forever.
@@ -102,10 +114,12 @@ class LogManager {
     uint64_t max_batch_bytes = 0;
     /// Appends that waited for ring space (flusher behind).
     uint64_t space_waits = 0;
-    /// Adaptive group-commit window: current value and transition counts.
+    /// Batched unparks issued to release WaitDurable callers (at most one
+    /// per durable advance; none when nobody parked).
+    uint64_t durable_wakes = 0;
+    /// Deprecated, always 0: the removed adaptive batch window. Kept for
+    /// one release alongside Options::max_flush_interval_us.
     uint64_t window_us = 0;
-    uint64_t window_grows = 0;
-    uint64_t window_shrinks = 0;
     /// Sum of steady-clock gaps between consecutive flush batches.
     uint64_t flush_gap_ns_total = 0;
     /// Sum over flushes of the staged depth (reserved - flushed) when the
@@ -135,10 +149,11 @@ class LogManager {
 
   /// Blocks until `lsn` is durable. Spin-then-park on the durable sequence
   /// word: the flusher publishes each durability advance with one bump and
-  /// at most one batched unpark for all waiters (none when nobody parked) —
-  /// the same futex-style path the commit pipeline's waiters use, so kSync
-  /// commits and daemon flush waits share one wakeup discipline.
-  void WaitDurable(Lsn lsn);
+  /// at most one batched unpark for all waiters (none when nobody parked).
+  /// Committing threads wait here directly, so one flush releases every
+  /// commit it covers with a single wake. Returns true iff the caller truly
+  /// blocked in the kernel at least once.
+  bool WaitDurable(Lsn lsn);
 
   /// Forces everything reserved before the call to the device (spinning out
   /// any appender still publishing its copy) before returning.
@@ -173,10 +188,6 @@ class LogManager {
   }
   bool HasStaged() const {
     return reserved_.load(std::memory_order_acquire) >
-           flushed_.load(std::memory_order_acquire);
-  }
-  uint64_t StagedBytes() const {
-    return reserved_.load(std::memory_order_acquire) -
            flushed_.load(std::memory_order_acquire);
   }
 
@@ -220,7 +231,7 @@ class LogManager {
   std::function<void(Lsn)> durable_observer_ SKEENA_GUARDED_BY(flush_mu_);
 
   // Flusher sleep/wake. Appenders take flusher_mu_ only on the
-  // empty->non-empty and watermark-crossing transitions (once per batch).
+  // empty->non-empty transition (at most once per batch).
   Mutex flusher_mu_;
   CondVar flusher_cv_;
   std::atomic<bool> stop_{false};
@@ -233,9 +244,7 @@ class LogManager {
   std::atomic<uint64_t> flushes_{0};
   std::atomic<uint64_t> flushed_bytes_{0};
   std::atomic<uint64_t> max_batch_bytes_{0};
-  std::atomic<uint64_t> window_us_{0};
-  std::atomic<uint64_t> window_grows_{0};
-  std::atomic<uint64_t> window_shrinks_{0};
+  std::atomic<uint64_t> durable_wakes_{0};
   std::atomic<uint64_t> flush_gap_ns_total_{0};
   std::atomic<uint64_t> staged_at_flush_total_{0};
   uint64_t last_flush_ns_ SKEENA_GUARDED_BY(flush_mu_) = 0;

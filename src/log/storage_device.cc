@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -21,12 +22,27 @@ void SpinWaitNs(uint64_t ns) {
 
 MemDevice::MemDevice(DeviceLatency latency) : latency_(latency) {}
 
+void MemDevice::WriteLocked(uint64_t offset, std::span<const uint8_t> data) {
+  while (chunks_.size() * kChunkBytes < offset + data.size()) {
+    chunks_.push_back(std::make_unique<uint8_t[]>(kChunkBytes));  // zeroed
+  }
+  size_ = std::max(size_, offset + data.size());
+  for (uint64_t done = 0; done < data.size();) {
+    const uint64_t pos = offset + done;
+    const uint64_t in_chunk = pos % kChunkBytes;
+    const uint64_t n = std::min(data.size() - done, kChunkBytes - in_chunk);
+    std::memcpy(chunks_[pos / kChunkBytes].get() + in_chunk,
+                data.data() + done, n);
+    done += n;
+  }
+  bytes_written_ += data.size();
+}
+
 Status MemDevice::Append(std::span<const uint8_t> data, uint64_t* offset) {
   {
     MutexLock guard(mu_);
-    *offset = data_.size();
-    data_.insert(data_.end(), data.begin(), data.end());
-    bytes_written_ += data.size();
+    *offset = size_;
+    WriteLocked(size_, data);
   }
   SpinWaitNs(latency_.write_ns);
   return Status::OK();
@@ -35,9 +51,7 @@ Status MemDevice::Append(std::span<const uint8_t> data, uint64_t* offset) {
 Status MemDevice::WriteAt(uint64_t offset, std::span<const uint8_t> data) {
   {
     MutexLock guard(mu_);
-    if (offset + data.size() > data_.size()) data_.resize(offset + data.size());
-    std::memcpy(data_.data() + offset, data.data(), data.size());
-    bytes_written_ += data.size();
+    WriteLocked(offset, data);
   }
   SpinWaitNs(latency_.write_ns);
   return Status::OK();
@@ -46,10 +60,17 @@ Status MemDevice::WriteAt(uint64_t offset, std::span<const uint8_t> data) {
 Status MemDevice::ReadAt(uint64_t offset, std::span<uint8_t> out) const {
   {
     MutexLock guard(mu_);
-    if (offset + out.size() > data_.size()) {
+    if (offset + out.size() > size_) {
       return Status::IOError("read past end of device");
     }
-    std::memcpy(out.data(), data_.data() + offset, out.size());
+    for (uint64_t done = 0; done < out.size();) {
+      const uint64_t pos = offset + done;
+      const uint64_t in_chunk = pos % kChunkBytes;
+      const uint64_t n = std::min(out.size() - done, kChunkBytes - in_chunk);
+      std::memcpy(out.data() + done,
+                  chunks_[pos / kChunkBytes].get() + in_chunk, n);
+      done += n;
+    }
     bytes_read_ += out.size();
   }
   SpinWaitNs(latency_.read_ns);
@@ -63,13 +84,23 @@ Status MemDevice::Sync() {
 
 Status MemDevice::Truncate(uint64_t size) {
   MutexLock guard(mu_);
-  if (size < data_.size()) data_.resize(size);
+  if (size >= size_) return Status::OK();
+  // Zero the cut-off bytes of the last kept chunk, so a later extension
+  // reads zeros there, then free the chunks wholly past the new end.
+  const uint64_t keep = (size + kChunkBytes - 1) / kChunkBytes;
+  if (size % kChunkBytes != 0) {
+    const uint64_t cut_end = std::min(size_, keep * kChunkBytes);
+    std::memset(chunks_[keep - 1].get() + size % kChunkBytes, 0,
+                cut_end - size);
+  }
+  chunks_.resize(keep);
+  size_ = size;
   return Status::OK();
 }
 
 uint64_t MemDevice::Size() const {
   MutexLock guard(mu_);
-  return data_.size();
+  return size_;
 }
 
 uint64_t MemDevice::bytes_read() const {

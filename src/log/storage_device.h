@@ -76,6 +76,11 @@ class StorageDevice {
 /// In-memory device with optional injected latency. The default for tests
 /// and benchmarks: deterministic, no filesystem dependence, still charges
 /// the configured per-operation latency like a real device would.
+///
+/// Bytes live in fixed-size chunks, so growing the device never moves what
+/// is already written: every write costs time proportional to its own size.
+/// (A single contiguous buffer would copy the whole device on each capacity
+/// doubling, stalling the log flusher for longer the bigger the log got.)
 class MemDevice : public StorageDevice {
  public:
   explicit MemDevice(DeviceLatency latency = DeviceLatency::Tmpfs());
@@ -90,8 +95,16 @@ class MemDevice : public StorageDevice {
   uint64_t bytes_written() const override;
 
  private:
+  static constexpr uint64_t kChunkBytes = uint64_t{1} << 20;
+
+  /// Writes `data` at `offset`, growing the device as needed; bytes of a
+  /// gap the write skips over read as zero.
+  void WriteLocked(uint64_t offset, std::span<const uint8_t> data)
+      SKEENA_REQUIRES(mu_);
+
   mutable Mutex mu_;
-  std::vector<uint8_t> data_ SKEENA_GUARDED_BY(mu_);
+  std::vector<std::unique_ptr<uint8_t[]>> chunks_ SKEENA_GUARDED_BY(mu_);
+  uint64_t size_ SKEENA_GUARDED_BY(mu_) = 0;
   DeviceLatency latency_;
   mutable uint64_t bytes_read_ SKEENA_GUARDED_BY(mu_) = 0;
   uint64_t bytes_written_ SKEENA_GUARDED_BY(mu_) = 0;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "log/log_manager.h"
 #include "log/storage_device.h"
@@ -19,12 +21,14 @@ class FlakyDevice : public StorageDevice {
   std::atomic<bool> fail_reads{false};
   std::atomic<bool> fail_writes{false};
   mutable std::atomic<uint64_t> reads_attempted{0};
+  std::atomic<uint64_t> writes_attempted{0};
 
   Status Append(std::span<const uint8_t> data, uint64_t* offset) override {
     if (fail_writes.load()) return Status::IOError("injected append failure");
     return inner_.Append(data, offset);
   }
   Status WriteAt(uint64_t offset, std::span<const uint8_t> data) override {
+    writes_attempted.fetch_add(1);
     if (fail_writes.load()) return Status::IOError("injected write failure");
     return inner_.WriteAt(offset, data);
   }
@@ -130,6 +134,27 @@ TEST(FailureTest, LogRetainsRecordsAcrossFailedFlush) {
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0], std::string("\x01\x02\x03\x04", 4));
   EXPECT_EQ(records[1], std::string("\x05\x06\x07\x08", 4));
+}
+
+TEST(FailureTest, FlusherBacksOffWhileDeviceFails) {
+  // The flusher has no batch window, so a failing device must not turn its
+  // retry into a tight loop: it waits out the idle backstop between tries.
+  auto flaky = std::make_unique<FlakyDevice>();
+  FlakyDevice* dev = flaky.get();
+  dev->fail_writes.store(true);
+  LogManager log(std::move(flaky));
+
+  uint8_t payload[32] = {};
+  Lsn lsn = log.Append(payload);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_LT(log.DurableLsn(), lsn);
+  // ~20 tries at one per 5 ms backstop; a hot loop makes millions.
+  EXPECT_LT(dev->writes_attempted.load(), 200u)
+      << "flusher retried a failing device without backing off";
+
+  dev->fail_writes.store(false);
+  log.WaitDurable(lsn);  // the next retry heals durability
+  EXPECT_GE(log.DurableLsn(), lsn);
 }
 
 }  // namespace

@@ -257,8 +257,6 @@ SiReport RunCrashScenario(uint64_t seed) {
   {
     DatabaseOptions opts;
     opts.data_dir = dir;
-    opts.mem.log.flush_interval_us = 20;
-    opts.stor.log.flush_interval_us = 20;
     opts.record_history = true;
     Database db(opts);
     auto mem_t = *db.CreateTable("m", EngineKind::kMem);
@@ -378,8 +376,6 @@ SiReport RunCrashScenario(uint64_t seed) {
   {
     DatabaseOptions opts;
     opts.data_dir = dir;
-    opts.mem.log.flush_interval_us = 20;
-    opts.stor.log.flush_interval_us = 20;
     Database db(opts);
     Status rec = db.Recover();
     if (!rec.ok()) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -72,6 +73,44 @@ TEST(MemDeviceTest, ReadPastEndFails) {
   std::string out(10, '\0');
   EXPECT_FALSE(
       dev.ReadAt(0, {reinterpret_cast<uint8_t*>(out.data()), 10}).ok());
+}
+
+TEST(MemDeviceTest, WritesAcrossChunkBoundariesRoundTrip) {
+  // The device stores fixed-size chunks; a write that straddles several of
+  // them must read back byte for byte, from any offset.
+  MemDevice dev;
+  std::string data(3 * (1 << 20) + 123, '\0');
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<char>(i % 251);
+  const uint64_t at = (1 << 20) - 7;
+  ASSERT_TRUE(dev.WriteAt(at, Bytes(data)).ok());
+  EXPECT_EQ(dev.Size(), at + data.size());
+  std::string out(data.size(), '\0');
+  ASSERT_TRUE(
+      dev.ReadAt(at, {reinterpret_cast<uint8_t*>(out.data()), out.size()})
+          .ok());
+  EXPECT_EQ(out, data);
+  uint64_t off = 0;
+  ASSERT_TRUE(dev.Append(Bytes("tail"), &off).ok());
+  EXPECT_EQ(off, at + data.size());
+}
+
+TEST(MemDeviceTest, TruncatedBytesReadAsZeroAfterRegrowth) {
+  MemDevice dev;
+  const std::string ones((1 << 20) + 500, '\x01');
+  ASSERT_TRUE(dev.WriteAt(0, Bytes(ones)).ok());
+  const uint64_t cut = (1 << 20) + 10;
+  ASSERT_TRUE(dev.Truncate(cut).ok());
+  EXPECT_EQ(dev.Size(), cut);
+  // Regrow past the old end: the cut-off bytes and the new hole are zeros.
+  ASSERT_TRUE(dev.WriteAt(3 << 20, Bytes("x")).ok());
+  std::string out((3 << 20) - cut, 'q');
+  ASSERT_TRUE(
+      dev.ReadAt(cut, {reinterpret_cast<uint8_t*>(out.data()), out.size()})
+          .ok());
+  EXPECT_EQ(out, std::string(out.size(), '\0'));
+  char kept = 0;
+  ASSERT_TRUE(dev.ReadAt(cut - 1, {reinterpret_cast<uint8_t*>(&kept), 1}).ok());
+  EXPECT_EQ(kept, '\x01');
 }
 
 TEST(MemDeviceTest, TracksByteCounters) {
@@ -177,13 +216,10 @@ TEST(LogManagerTest, DurableLsnAdvancesToCover) {
 
 TEST(LogManagerTest, FlushForcesDurability) {
   LogManager::Options opts;
-  opts.flush_interval_us = 1000000;  // effectively never
-  opts.flush_watermark = 1 << 30;
+  opts.auto_flush = false;  // only Flush() may advance durability
   LogManager log(std::make_unique<MemDevice>(), opts);
   Lsn lsn = log.Append(Bytes("x"));
-  // No assertion on DurableLsn() before Flush(): the background flusher
-  // may legitimately run a pass between Append and any check (observed
-  // under TSan's scheduling), so "not yet durable" is unobservable here.
+  EXPECT_LT(log.DurableLsn(), lsn);
   ASSERT_TRUE(log.Flush().ok());
   EXPECT_GE(log.DurableLsn(), lsn);
 }
@@ -357,36 +393,54 @@ TEST(LogManagerTest, FlushStopsAtOneRingLapWithAParkedAppender) {
                       "shipped the parked appender's uncopied claim";
 }
 
-TEST(LogManagerTest, AdaptiveWindowGrowsUnderLoadThenCollapsesWhenIdle) {
-  LogManager::Options opts;
-  opts.flush_interval_us = 1;  // base window: easy to outrun
-  opts.max_flush_interval_us = 1000;
-  opts.flush_watermark = 1 << 30;  // never trip early; the window paces
-  LogManager log(std::make_unique<MemDevice>(), opts);
-
-  // Sustained burst: arrivals outpace the 1 us window, so the flusher must
-  // find bytes already staged after a pass and widen the window.
-  const std::string payload(64, 'a');
-  const auto grow_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (log.stats().window_grows == 0 &&
-         std::chrono::steady_clock::now() < grow_deadline) {
-    for (int i = 0; i < 512; ++i) log.Append(Bytes(payload));
+TEST(LogManagerTest, SelfClockedFlusherBatchesCommitsOnSlowDevice) {
+  // No batch window: the device's own latency is what batches. Every
+  // commit that arrives while one SSD-priced flush is on the device rides
+  // the next flush, so concurrent committers share flushes.
+  LogManager log(std::make_unique<MemDevice>(DeviceLatency::Ssd()));
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 200;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kPerThread; ++i) {
+        log.WaitDurable(log.Append(Bytes("commit-record")));
+      }
+    });
   }
-  EXPECT_GT(log.stats().window_grows, 0u)
-      << "a saturating burst must widen the group-commit window";
-  ASSERT_TRUE(log.Flush().ok());
+  for (auto& th : threads) th.join();
+  const uint64_t commits = kThreads * kPerThread;
+  EXPECT_LE(log.flush_batches(), commits / 2)
+      << "flushes per commit must fall well below 1 once a flush costs "
+         "device time";
+  EXPECT_GE(log.DurableLsn(), log.CurrentLsn());
+  EXPECT_EQ(log.stats().window_us, 0u) << "deprecated window shim reads 0";
+}
 
-  // Idle: the flusher's idle timeout collapses the window back to base so a
-  // later stray commit is not held for the wide window.
-  const auto idle_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (log.stats().window_us != opts.flush_interval_us &&
-         std::chrono::steady_clock::now() < idle_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+TEST(LogManagerTest, FlushesStartAtLeastOnePeriodApartOnFastDevice) {
+  // A zero-latency device would let the flusher flush per commit; the
+  // period floor caps it, so concurrent committers share flushes. No
+  // flush runs before `t0`, and each later one starts a full period after
+  // the one before it.
+  LogManager log(std::make_unique<MemDevice>());
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 300;
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kPerThread; ++i) {
+        log.WaitDurable(log.Append(Bytes("commit-record")));
+      }
+    });
   }
-  EXPECT_EQ(log.stats().window_us, opts.flush_interval_us);
-  EXPECT_GT(log.stats().window_shrinks, 0u);
+  for (auto& th : threads) th.join();
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  const uint64_t flushes = log.flush_batches();
+  EXPECT_LE(flushes, 1 + static_cast<uint64_t>(
+                             elapsed / LogManager::kMinFlushPeriod));
+  EXPECT_LT(flushes, static_cast<uint64_t>(kThreads * kPerThread));
+  EXPECT_GE(log.DurableLsn(), log.CurrentLsn());
 }
 
 // ------------------------------------------------- SegmentedLogDevice

@@ -32,8 +32,6 @@ class RecoveryTest : public ::testing::Test {
   DatabaseOptions FileOptions() {
     DatabaseOptions opts;
     opts.data_dir = dir_;
-    opts.mem.log.flush_interval_us = 20;
-    opts.stor.log.flush_interval_us = 20;
     return opts;
   }
 

@@ -3,7 +3,7 @@
 
 // Shared test scaffolding. Every suite that stands up a Database should use
 // these helpers instead of re-declaring its own options/fixture so that
-// test-wide tuning (log flush intervals, sweep gating) lives in one place.
+// test-wide tuning (sweep gating) lives in one place.
 
 #include <gtest/gtest.h>
 
@@ -12,13 +12,11 @@
 
 namespace skeena::test {
 
-/// Database options tuned for tests: log flushers poll every 20 us so group
-/// commit drains in microseconds instead of the production default.
+/// Database options for tests: the defaults (self-clocked log flushers
+/// already drain group commit in microseconds), with Skeena on or off.
 inline DatabaseOptions FastOptions(bool skeena_on = true) {
   DatabaseOptions opts;
   opts.enable_skeena = skeena_on;
-  opts.mem.log.flush_interval_us = 20;
-  opts.stor.log.flush_interval_us = 20;
   return opts;
 }
 

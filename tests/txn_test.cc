@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "core/history.h"
 #include "core/skeena.h"
 #include "support/db_fixtures.h"
 
@@ -218,6 +221,43 @@ TEST_F(TxnTest, CommitWaitsForDurability) {
   EXPECT_GE(db_.engine(1)->DurableLsn(), db_.engine(1)->CurrentLsn());
 }
 
+TEST_F(TxnTest, ReadCommittedCommitPublishesNoStaleAnchorPair) {
+  const Key k = MakeKey(1);
+  {
+    auto seed = db_.Begin();
+    ASSERT_TRUE(seed->Put(mem_table_, k, "0").ok());
+    ASSERT_TRUE(seed->Put(stor_table_, k, "0").ok());
+    ASSERT_TRUE(seed->Commit().ok());
+  }
+  std::string v;
+  // A read-committed reader pins anchor snapshot A in the anchor engine.
+  auto rc = db_.Begin(IsolationLevel::kReadCommitted);
+  ASSERT_TRUE(rc->Get(mem_table_, k, &v).ok());
+  ASSERT_TRUE(rc->Get(stor_table_, k, &v).ok());
+  // A snapshot reader also starts at A; it crosses into stordb later.
+  auto si = db_.Begin(IsolationLevel::kSnapshot);
+  ASSERT_TRUE(si->Get(mem_table_, k, &v).ok());
+  ASSERT_EQ(v, "0");
+  {
+    auto w = db_.Begin();
+    ASSERT_TRUE(w->Put(mem_table_, k, "1").ok());
+    ASSERT_TRUE(w->Put(stor_table_, k, "1").ok());
+    ASSERT_TRUE(w->Commit().ok());
+  }
+  // The reader's stordb refresh moves its anchor past the writer and sees
+  // the writer's stordb half; its anchor-engine view is still at A.
+  ASSERT_TRUE(rc->Get(stor_table_, k, &v).ok());
+  ASSERT_EQ(v, "1");
+  ASSERT_TRUE(rc->Commit().ok());
+  // Committing must not have mapped A to the writer's stordb timestamp.
+  Status s = si->Get(stor_table_, k, &v);
+  if (s.ok()) {
+    EXPECT_EQ(v, "0") << "snapshot reader at A sees the writer's stordb "
+                         "half but not its memdb half";
+    EXPECT_TRUE(si->Commit().ok());
+  }
+}
+
 TEST_F(TxnTest, StatsCountCsrTraffic) {
   // Anchor-only transactions must not touch the CSR (ERMIA-S == ERMIA).
   for (int i = 0; i < 10; ++i) {
@@ -237,6 +277,75 @@ TEST_F(TxnTest, StatsCountCsrTraffic) {
   EXPECT_GT(stats.csr.accesses, 0u);
   // All with the same anchor snapshot -> a single CSR key (Section 6.3).
   EXPECT_LE(db_.csr().EntryCount(), 1u);
+}
+
+// One cross-engine commit order: concurrent cross-engine writers on
+// disjoint keys cannot conflict in either engine, so any abort at commit
+// would come from Algorithm 2 — and with every mapping-installing commit's
+// timestamp draws serialized under the CSR writer mutex, the two engines'
+// commit orders never invert and the check never fails. Readers crossing
+// engines at the same time must see consistent snapshot pairs.
+TEST(TxnCommitOrderTest, ConcurrentCrossEngineWritersNeverFailCommitCheck) {
+  DatabaseOptions opts = FastOptions();
+  opts.record_history = true;
+  Database db(opts);
+  auto mem_t = *db.CreateTable("m", EngineKind::kMem);
+  auto stor_t = *db.CreateTable("s", EngineKind::kStor);
+
+  constexpr int kWriters = 4;
+  constexpr int kReaders = 2;
+  constexpr int kCommitsPerWriter = 300;
+  constexpr uint64_t kKeysPerWriter = 8;
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCommitsPerWriter; ++i) {
+        const Key key = MakeKey(t * kKeysPerWriter + i % kKeysPerWriter);
+        const std::string v = std::to_string(t) + ":" + std::to_string(i);
+        auto txn = db.Begin();
+        if (!txn->Put(mem_t, key, v).ok()) continue;  // selection abort
+        if (!txn->Put(stor_t, key, v).ok()) continue;
+        txn->Commit().ok();  // a failure shows in commit_aborts below
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      uint64_t k = static_cast<uint64_t>(r);
+      while (writers_left.load() > 0) {
+        const Key key = MakeKey(k++ % (kWriters * kKeysPerWriter));
+        auto txn = db.Begin();
+        std::string v;
+        // Alternate which engine is crossed into first.
+        const TableHandle& first = (k % 2 == 0) ? mem_t : stor_t;
+        const TableHandle& second = (k % 2 == 0) ? stor_t : mem_t;
+        Status s = txn->Get(first, key, &v);
+        if (!s.ok() && !s.IsNotFound()) continue;
+        s = txn->Get(second, key, &v);
+        if (!s.ok() && !s.IsNotFound()) continue;
+        txn->Commit().ok();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(db.csr().stats().commit_aborts, 0u)
+      << "concurrent cross-engine commits drew inverted timestamp orders";
+
+  auto history = db.recorder()->Fold();
+  SiCheckOptions check;
+  check.anchor_index = db.anchor_index();
+  check.have_csr_dump = true;
+  Timestamp floor = 0;
+  for (const auto& m : db.csr().DumpMappings(&floor)) {
+    check.csr_mappings.push_back({m.key, m.vmin, m.vmax});
+  }
+  check.csr_floor = floor;
+  SiReport report = CheckSnapshotIsolation(history, check);
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  EXPECT_GT(report.pairs, 0u);
 }
 
 TEST(TxnConfigTest, SkeenaOffCommitsIndependently) {
