@@ -7,9 +7,8 @@
 // batches every commit that arrived during the previous flush and releases
 // them with one unpark; a synchronous commit issues (or joins) a flush of
 // its own. The wakeup matrix counts the kernel wakes issued to release
-// committers — the logs' batched durable-advance unparks plus any the
-// commit pipeline issued — per commit; the park matrix counts commits whose
-// durable wait blocked in the kernel.
+// committers — the logs' batched durable-advance unparks — per commit; the
+// park matrix counts commits whose durable wait blocked in the kernel.
 
 #include "bench/common/bench_harness.h"
 
@@ -23,11 +22,9 @@ namespace skeena::bench {
 namespace {
 
 // Kernel wakes issued to release committers so far: both logs' batched
-// durable-advance unparks plus the commit pipeline's own wakes.
+// durable-advance unparks.
 uint64_t CommitWakes(Database* db) {
-  CommitPipeline::Stats p = db->pipeline().stats();
-  return p.wake_syscalls + p.daemon_wakes +
-         db->mem()->engine()->log()->stats().durable_wakes +
+  return db->mem()->engine()->log()->stats().durable_wakes +
          db->stor()->engine()->log()->stats().durable_wakes;
 }
 
@@ -47,8 +44,6 @@ void Run() {
     std::string label;
     CommitPipeline::Mode mode;
   };
-  // Blocking commits wait on the log flushers directly and never touch a
-  // commit queue, so the queue count is not an axis here.
   std::vector<Variant> variants = {
       {"pipelined, waits on flusher", CommitPipeline::Mode::kPipelined},
       {"synchronous flush", CommitPipeline::Mode::kSync},

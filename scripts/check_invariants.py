@@ -59,11 +59,6 @@ RELAXED_ALLOWLIST = {
         "CSR commit/install protocol: orderings are proven as a unit in the "
         "file-top protocol comment and DESIGN.md (Timestamps & the CSR); "
         "40+ sites, per-site comments would drown the protocol",
-    "src/core/commit_pipeline.cc":
-        "pipelined-commit stage counters and seqlock protocol; ordering "
-        "argument in the file-top comment",
-    "src/core/commit_pipeline.h":
-        "stage-counter reads paired with commit_pipeline.cc's protocol",
     "src/log/log_manager.cc":
         "lock-free append ring: reserve/fill/flush ordering proven in the "
         "ring protocol comment; relaxed sites are stats and ring cursors "

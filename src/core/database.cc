@@ -233,7 +233,7 @@ Status Database::Recover() {
   // Pair commit-begin / commit-end records across both logs: a cross-
   // engine transaction is durably committed only if its commit-end made it
   // to *both* logs; everything else is rolled back (its results were never
-  // released to clients — they were still gated on the commit queue).
+  // released to clients — they were still waiting on durability).
   // Paper Section 4.6.
   std::set<GlobalTxnId> cross_seen;
   std::set<GlobalTxnId> end_in[kNumEngines];

@@ -25,7 +25,7 @@ class SubTxn {
 /// The narrow engine contract Skeena requires (paper Section 4.9): engines
 /// stay autonomous; the coordinator only needs snapshot-based begin, the
 /// pre-/post-commit split exposing commit timestamps, data access routing
-/// and durable-LSN visibility for the pipelined commit daemon.
+/// and durable-LSN visibility for the pipelined commit wait.
 ///
 /// Snapshot convention: `kMaxTimestamp` means "latest / native snapshot";
 /// any other value is a CSR-selected snapshot in this engine's commit-order
@@ -82,8 +82,8 @@ class EngineIface {
   virtual Lsn CurrentLsn() const = 0;
   virtual Lsn DurableLsn() const = 0;
   virtual Status FlushLog() = 0;
-  /// Blocks until `lsn` is durable (used by committing threads and the
-  /// commit daemon). Returns true iff the caller blocked in the kernel.
+  /// Blocks until `lsn` is durable (used by committing threads). Returns
+  /// true iff the caller blocked in the kernel.
   virtual bool WaitDurable(Lsn lsn) = 0;
 
   /// This engine's log manager, for observer wiring (the replication

@@ -382,13 +382,10 @@ Status Transaction::Commit() {
   db_->active_txns_.fetch_sub(1, std::memory_order_relaxed);
   ReleaseAnchorSlot();
 
-  // ---- Pipelined commit: detach and wait for both engines' durable LSNs
-  // (Section 4.5). The wait is on this handle so callers get synchronous
-  // commit semantics while worker threads of the engines stay off the I/O
-  // path.
-  if (!waiter_) waiter_ = std::make_shared<CommitWaiter>();
-  db_->pipeline().EnqueueAndWait(lsns, waiter_,
-                                 static_cast<size_t>(gtid_));
+  // ---- Pipelined commit: wait for both engines' durable LSNs (Section
+  // 4.5). Callers get synchronous commit semantics while worker threads of
+  // the engines stay off the I/O path.
+  db_->pipeline().WaitDurable(lsns);
   if (hist_) {
     // Recorded only after the durability wait returns: outcome kCommitted
     // means "acknowledged to the caller".

@@ -8,7 +8,6 @@
 #include "common/encoding.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "core/commit_pipeline.h"
 #include "core/database.h"
 #include "core/engine_iface.h"
 
@@ -27,7 +26,7 @@ namespace skeena {
 ///    (Algorithm 1);
 ///  * Commit() runs the three-step protocol of Section 4.5 — pre-commit
 ///    both sub-transactions, CSR commit check (Algorithm 2), post-commit
-///    both — then waits on the pipelined commit queue until both engines'
+///    both — then waits (CommitPipeline::WaitDurable) until both engines'
 ///    logs cover the transaction.
 ///
 /// With Skeena disabled (Database option), sub-transactions use each
@@ -101,11 +100,6 @@ class Transaction {
 
   enum class State { kActive, kCommitted, kAborted };
   State state_ = State::kActive;
-
-  // Shared with the commit daemon: it may still be completing this waiter
-  // when the transaction object is destroyed. Allocated lazily in Commit()
-  // — read-only/aborted transactions never reach the pipeline.
-  std::shared_ptr<CommitWaiter> waiter_;
 
   // Verification hook (core/history.h). Null unless the database records
   // histories, so the disabled cost on every data op is one branch. The

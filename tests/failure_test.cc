@@ -8,6 +8,8 @@
 #include <chrono>
 #include <thread>
 
+#include "core/adapters.h"
+#include "core/commit_pipeline.h"
 #include "log/log_manager.h"
 #include "log/storage_device.h"
 #include "stordb/stor_engine.h"
@@ -155,6 +157,39 @@ TEST(FailureTest, FlusherBacksOffWhileDeviceFails) {
   dev->fail_writes.store(false);
   log.WaitDurable(lsn);  // the next retry heals durability
   EXPECT_GE(log.DurableLsn(), lsn);
+}
+
+TEST(FailureTest, SyncCommitNotAckedWhileLogFlushFails) {
+  // kSync flushes on the committing thread. A failed flush must not ack
+  // the commit past the durable LSN: the commit waits until the log's
+  // flusher retries land after the device heals.
+  auto flaky = std::make_unique<FlakyDevice>();
+  FlakyDevice* dev = flaky.get();
+  dev->fail_writes.store(true);
+  MemEngineAdapter mem(std::move(flaky), memdb::MemEngine::Options{});
+  StorEngineAdapter stor(std::make_unique<MemDevice>(),
+                         stordb::StorEngine::Options{});
+  CommitPipeline::Options opts;
+  opts.mode = CommitPipeline::Mode::kSync;
+  CommitPipeline pipeline(opts, &mem, &stor);
+
+  uint8_t payload[16] = {};
+  Lsn lsns[2] = {mem.engine()->log()->Append(payload),
+                 stor.engine()->log()->Append(payload)};
+  std::atomic<bool> done{false};
+  std::thread committer([&] {
+    pipeline.WaitDurable(lsns);
+    done.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(done.load()) << "commit acked while its log flush fails";
+  EXPECT_LT(mem.DurableLsn(), lsns[0]);
+
+  dev->fail_writes.store(false);
+  committer.join();  // the flusher's next retry releases it
+  EXPECT_TRUE(done.load());
+  EXPECT_GE(mem.DurableLsn(), lsns[0]);
+  EXPECT_GE(stor.DurableLsn(), lsns[1]);
 }
 
 }  // namespace

@@ -38,18 +38,15 @@ TEST_F(PipelineTest, CompletesOnlyWhenBothLogsDurable) {
   CommitPipeline::Options opts;
   CommitPipeline pipeline(opts, mem.get(), stor.get());
 
-  // Append a record to each log; the entry needs both durable.
+  // Append a record to each log; the commit needs both durable.
   uint8_t payload[16] = {};
   Lsn mem_lsn = mem->engine()->log()->Append(payload);
   Lsn stor_lsn = stor->engine()->log()->Append(payload);
 
-  auto waiter = std::make_shared<CommitWaiter>();
-  waiter->Reset();
   std::atomic<bool> done{false};
   Lsn lsns[2] = {mem_lsn, stor_lsn};
-  pipeline.Enqueue(lsns, waiter);
-  std::thread watcher([&] {
-    waiter->Wait();
+  std::thread committer([&] {
+    pipeline.WaitDurable(lsns);
     done.store(true);
   });
 
@@ -61,7 +58,7 @@ TEST_F(PipelineTest, CompletesOnlyWhenBothLogsDurable) {
   EXPECT_FALSE(done.load()) << "one log durable is not enough";
 
   ASSERT_TRUE(stor->FlushLog().ok());
-  watcher.join();
+  committer.join();
   EXPECT_TRUE(done.load());
   EXPECT_EQ(pipeline.completed(), 1u);
 }
@@ -70,9 +67,8 @@ TEST_F(PipelineTest, ZeroLsnMeansNothingToWaitFor) {
   auto mem = MakeMem(false);
   auto stor = MakeStor(false);
   CommitPipeline pipeline(CommitPipeline::Options{}, mem.get(), stor.get());
-  auto waiter = std::make_shared<CommitWaiter>();
   Lsn lsns[2] = {0, 0};
-  pipeline.EnqueueAndWait(lsns, waiter);  // returns immediately
+  pipeline.WaitDurable(lsns);  // returns immediately
   EXPECT_EQ(pipeline.completed(), 1u);
 }
 
@@ -86,63 +82,15 @@ TEST_F(PipelineTest, SyncModeFlushesInline) {
   uint8_t payload[8] = {};
   Lsn lsns[2] = {mem->engine()->log()->Append(payload),
                  stor->engine()->log()->Append(payload)};
-  auto waiter = std::make_shared<CommitWaiter>();
-  pipeline.EnqueueAndWait(lsns, waiter);
+  pipeline.WaitDurable(lsns);
   EXPECT_GE(mem->DurableLsn(), lsns[0]);
   EXPECT_GE(stor->DurableLsn(), lsns[1]);
 }
 
-TEST_F(PipelineTest, AllQueuedEntriesComplete) {
-  auto mem = MakeMem(true);
-  auto stor = MakeStor(true);
-  CommitPipeline pipeline(CommitPipeline::Options{}, mem.get(), stor.get());
-
-  constexpr int kEntries = 64;
-  std::vector<std::shared_ptr<CommitWaiter>> waiters;
-  for (int i = 0; i < kEntries; ++i) {
-    waiters.push_back(std::make_shared<CommitWaiter>());
-  }
-  uint8_t payload[8] = {};
-  for (int i = 0; i < kEntries; ++i) {
-    Lsn lsns[2] = {mem->engine()->log()->Append(payload),
-                   stor->engine()->log()->Append(payload)};
-    waiters[i]->Reset();
-    pipeline.Enqueue(lsns, waiters[i]);
-  }
-  for (int i = 0; i < kEntries; ++i) {
-    waiters[i]->Wait();
-  }
-  EXPECT_EQ(pipeline.completed(), static_cast<uint64_t>(kEntries));
-}
-
-TEST_F(PipelineTest, PartitionedQueuesProgressIndependently) {
-  auto mem = MakeMem(true);
-  auto stor = MakeStor(true);
-  CommitPipeline::Options opts;
-  opts.num_queues = 4;
-  CommitPipeline pipeline(opts, mem.get(), stor.get());
-  uint8_t payload[8] = {};
-  std::vector<std::thread> producers;
-  std::atomic<uint64_t> done{0};
-  for (int t = 0; t < 4; ++t) {
-    producers.emplace_back([&, t] {
-      for (int i = 0; i < 50; ++i) {
-        Lsn lsns[2] = {mem->engine()->log()->Append(payload),
-                       stor->engine()->log()->Append(payload)};
-        auto w = std::make_shared<CommitWaiter>();
-        pipeline.EnqueueAndWait(lsns, w, static_cast<size_t>(t));
-        done.fetch_add(1);
-      }
-    });
-  }
-  for (auto& p : producers) p.join();
-  EXPECT_EQ(done.load(), 200u);
-}
-
 // Stress: many committing threads race the logs' durable-LSN advances.
-// Every EnqueueAndWait must return (no lost wakeup — a hang is caught by
-// the suite timeout) and complete on its own thread, in both pipelined and
-// sync modes.
+// Every WaitDurable must return (no lost wakeup — a hang is caught by the
+// suite timeout) with both logs covering it, in both pipelined and sync
+// modes.
 TEST_F(PipelineTest, StressManyWaitersAgainstDurableAdvances) {
   for (CommitPipeline::Mode mode :
        {CommitPipeline::Mode::kPipelined, CommitPipeline::Mode::kSync}) {
@@ -150,7 +98,6 @@ TEST_F(PipelineTest, StressManyWaitersAgainstDurableAdvances) {
     auto stor = MakeStor(true);
     CommitPipeline::Options opts;
     opts.mode = mode;
-    opts.num_queues = 2;
     CommitPipeline pipeline(opts, mem.get(), stor.get());
 
     constexpr int kThreads = 16;
@@ -159,14 +106,12 @@ TEST_F(PipelineTest, StressManyWaitersAgainstDurableAdvances) {
     std::atomic<uint64_t> done{0};
     std::vector<std::thread> workers;
     for (int t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&, t] {
+      workers.emplace_back([&] {
         uint8_t payload[8] = {};
         for (int i = 0; i < kTxnsEach; ++i) {
           Lsn lsns[2] = {mem->engine()->log()->Append(payload),
                          stor->engine()->log()->Append(payload)};
-          auto w = std::make_shared<CommitWaiter>();
-          pipeline.EnqueueAndWait(lsns, w, static_cast<size_t>(t));
-          EXPECT_TRUE(w->done());
+          pipeline.WaitDurable(lsns);
           EXPECT_GE(mem->DurableLsn(), lsns[0]);
           EXPECT_GE(stor->DurableLsn(), lsns[1]);
           done.fetch_add(1);
@@ -176,19 +121,13 @@ TEST_F(PipelineTest, StressManyWaitersAgainstDurableAdvances) {
     for (auto& w : workers) w.join();
     EXPECT_EQ(done.load(), kTotal);
 
-    // Blocking commits complete inline on the caller's thread: none is
-    // queued, so the daemon never drains or wakes anything.
     CommitPipeline::Stats s = pipeline.stats();
     EXPECT_EQ(s.completed, kTotal);
-    EXPECT_EQ(s.completed_inline, kTotal);
-    EXPECT_EQ(s.enqueued, 0u) << "a blocking commit went through a queue";
-    EXPECT_EQ(s.drain_batches, 0u);
-    EXPECT_EQ(s.daemon_wakes, 0u);
+    EXPECT_EQ(s.completed, s.waiter_spin_successes + s.waiter_parks)
+        << "every wait resolves by spinning or parking exactly once";
 
 #if defined(__linux__)
     if (mode == CommitPipeline::Mode::kPipelined) {
-      EXPECT_EQ(s.completed, s.waiter_spin_successes + s.waiter_parks)
-          << "every wait resolves by spinning or parking exactly once";
       // The point of batching: each log releases every waiter a durable
       // advance covers with at most one unpark, so its kernel wakes come in
       // strictly under one per commit.
@@ -206,19 +145,15 @@ TEST_F(PipelineTest, StatsAccountSpinAndParkOutcomes) {
   uint8_t payload[8] = {};
   Lsn lsns[2] = {mem->engine()->log()->Append(payload),
                  stor->engine()->log()->Append(payload)};
-  auto w = std::make_shared<CommitWaiter>();
-  std::thread committer([&] {
+  std::thread flusher([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     ASSERT_TRUE(mem->FlushLog().ok());
     ASSERT_TRUE(stor->FlushLog().ok());
   });
-  pipeline.EnqueueAndWait(lsns, w);
-  committer.join();
-  EXPECT_TRUE(w->done());
+  pipeline.WaitDurable(lsns);
+  flusher.join();
   CommitPipeline::Stats s = pipeline.stats();
   EXPECT_EQ(s.completed, 1u);
-  EXPECT_EQ(s.completed_inline, 1u) << "the wait completes on our thread";
-  EXPECT_EQ(s.enqueued, 0u);
   // The wait resolves in exactly one accounting bucket. (Which bucket is
   // scheduling-dependent: the 30 ms gate normally forces a park, but an
   // oversubscribed box can deschedule the waiter across the whole gate
@@ -241,29 +176,48 @@ TEST_F(PipelineTest, AlreadyDurableEntriesCompleteInlineWithoutWakeups) {
                  stor->engine()->log()->Append(payload)};
   ASSERT_TRUE(mem->FlushLog().ok());
   ASSERT_TRUE(stor->FlushLog().ok());
-  auto w = std::make_shared<CommitWaiter>();
-  pipeline.EnqueueAndWait(lsns, w);
+  auto log_wakes = [&] {
+    return mem->engine()->log()->stats().durable_wakes +
+           stor->engine()->log()->stats().durable_wakes;
+  };
+  const uint64_t wakes_before = log_wakes();
+  pipeline.WaitDurable(lsns);
   CommitPipeline::Stats s = pipeline.stats();
   EXPECT_EQ(s.completed, 1u);
-  EXPECT_EQ(s.wake_syscalls, 0u) << "covered LSNs must not touch the kernel";
+  EXPECT_EQ(log_wakes(), wakes_before)
+      << "covered LSNs must not touch the kernel";
   EXPECT_EQ(s.waiter_parks, 0u);
+  EXPECT_EQ(s.waiter_spin_successes, 1u);
 }
 
-TEST_F(PipelineTest, DestructorDrainsPendingEntries) {
+// The destructor's in-flight sweep: a waiter parked on logs with no
+// background flusher must still return when the pipeline is destroyed
+// (each sweep round flushes both logs until no waiter is inside).
+TEST_F(PipelineTest, DestructorReleasesParkedWaiter) {
   auto mem = MakeMem(false);
   auto stor = MakeStor(false);
-  auto waiter = std::make_shared<CommitWaiter>();
-  waiter->Reset();
+  auto pipeline = std::make_unique<CommitPipeline>(CommitPipeline::Options{},
+                                                   mem.get(), stor.get());
   uint8_t payload[8] = {};
-  {
-    CommitPipeline pipeline(CommitPipeline::Options{}, mem.get(), stor.get());
-    Lsn lsns[2] = {mem->engine()->log()->Append(payload),
-                   stor->engine()->log()->Append(payload)};
-    pipeline.Enqueue(lsns, waiter);
-    // Destroyed with the entry still gated on durability.
-  }
-  waiter->Wait();  // must have been completed (with a forced flush)
-  SUCCEED();
+  Lsn lsns[2] = {mem->engine()->log()->Append(payload),
+                 stor->engine()->log()->Append(payload)};
+  std::atomic<bool> entered{false};
+  std::atomic<bool> done{false};
+  CommitPipeline* raw = pipeline.get();  // reset() below rewrites the owner
+  std::thread committer([&] {
+    entered.store(true);
+    raw->WaitDurable(lsns);
+    done.store(true);
+  });
+  while (!entered.load()) std::this_thread::yield();
+  // Give the waiter time to get past its spin budget and park.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(done.load()) << "nothing flushed yet";
+  pipeline.reset();  // returns only once the waiter has left WaitDurable
+  committer.join();   // a waiter the sweep missed hangs here
+  EXPECT_TRUE(done.load());
+  EXPECT_GE(mem->DurableLsn(), lsns[0]);
+  EXPECT_GE(stor->DurableLsn(), lsns[1]);
 }
 
 }  // namespace

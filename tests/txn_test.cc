@@ -392,10 +392,8 @@ TEST(TxnConfigTest, SyncCommitModeWorks) {
   EXPECT_GE(db.engine(0)->DurableLsn(), db.engine(0)->CurrentLsn());
 }
 
-TEST(TxnConfigTest, PartitionedCommitQueues) {
-  DatabaseOptions opts = FastOptions();
-  opts.pipeline.num_queues = 4;
-  Database db(opts);
+TEST(TxnConfigTest, ConcurrentCommittersAllComplete) {
+  Database db(FastOptions());
   auto mem_t = *db.CreateTable("m", EngineKind::kMem);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
