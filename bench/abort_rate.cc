@@ -46,6 +46,14 @@ void Run() {
     schemes.push_back(archive);
   }
 
+  // Which Algorithm 2 bound refused each Skeena commit-check abort (the
+  // split sums to the CSR's commit_aborts), as % of attempts.
+  auto split = std::make_shared<ResultMatrix>(
+      "Section 6.9: TPC-C commit-check aborts by failed bound (% of "
+      "attempts), " +
+          std::to_string(conns) + " connections",
+      "Scheme");
+
   for (const auto& scheme : schemes) {
     RegisterCell("AbortRate/TPCC/" + scheme.label, [=] {
       TpccConfig cfg = ScaledTpccConfig(TpccConfig{}, scale);
@@ -55,14 +63,31 @@ void Run() {
       cfg.pool_fraction = 2.0;
       cfg.warehouses = std::max(cfg.warehouses, std::min(conns, 16));
       Tpcc tpcc(cfg);
+      const SnapshotRegistry::Stats before = tpcc.db()->csr().stats();
       RunResult r = RunWorkload(conns, scale.duration_ms,
                                 [&tpcc](int tid, Rng& rng, uint64_t* q) {
                                   return tpcc.RunMix(tid, rng, q);
                                 });
+      const SnapshotRegistry::Stats after = tpcc.db()->csr().stats();
       matrix->Set(scheme.label, "total abort %", r.AbortRate() * 100.0);
       matrix->Set(scheme.label, "skeena abort %",
                   r.SkeenaAbortRate() * 100.0);
       matrix->Set(scheme.label, "TPS", r.Tps());
+      const double attempts = std::max<double>(
+          1.0, static_cast<double>(r.commits + r.engine_aborts +
+                                   r.skeena_aborts));
+      auto pct = [&](uint64_t a, uint64_t b) {
+        return static_cast<double>(a - b) * 100.0 / attempts;
+      };
+      split->Set(scheme.label, "high",
+                 pct(after.commit_aborts_high, before.commit_aborts_high));
+      split->Set(scheme.label, "low",
+                 pct(after.commit_aborts_low, before.commit_aborts_low));
+      split->Set(scheme.label, "reader tie",
+                 pct(after.commit_aborts_reader_tie,
+                     before.commit_aborts_reader_tie));
+      split->Set(scheme.label, "sealed",
+                 pct(after.commit_aborts_sealed, before.commit_aborts_sealed));
       return r;
     });
   }
@@ -99,6 +124,7 @@ void Run() {
 
   ::benchmark::RunSpecifiedBenchmarks();
   matrix->Print(2);
+  split->Print(2);
   micro_matrix->Print(2);
 }
 

@@ -94,6 +94,24 @@ if doc["bench"] == "ablation_commit":
         f"append throughput collapsed under contention: 1t={one} multi={many}"
     print(f"  OK log-backend fields: {len(backend)} backend + "
           f"{len(append)} append points")
+if doc["bench"] == "abort_rate":
+    # Paper Section 6.9: Skeena adds ~0.3 % aborts to TPC-C. The
+    # recommended placements must stay near that budget, not the ~12-19 %
+    # that positioning New-Order at its begin snapshot once cost.
+    skeena = {p["row"]: p["value"] for p in doc["points"]
+              if "TPC-C abort rates" in p["matrix"]
+              and p["col"] == "skeena abort %"}
+    for row in ("New-Order-Opt", "Payment-Opt"):
+        assert row in skeena, f"no skeena abort % for {row}: {skeena}"
+        assert skeena[row] <= 2.0, \
+            f"{row} Skeena-attributed aborts {skeena[row]:.2f} % > 2.0 %"
+    split = [p for p in doc["points"] if "failed bound" in p["matrix"]]
+    assert {p["col"] for p in split} == {"high", "low", "reader tie",
+                                         "sealed"}, \
+        f"abort split columns missing: {sorted({p['col'] for p in split})}"
+    print("  OK Skeena aborts: " +
+          ", ".join(f"{r} {skeena[r]:.2f} %" for r in ("New-Order-Opt",
+                                                       "Payment-Opt")))
 if doc["bench"] == "eviction_pressure":
     # The buffer-pool frame-lifecycle cost matrix: every coverage row must
     # be present in the throughput matrix, hit ratios must be sane

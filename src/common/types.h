@@ -18,7 +18,7 @@ using Lsn = uint64_t;
 using TableId = uint32_t;
 
 /// Global (cross-engine) transaction identifier, assigned by the database
-/// layer. Used to pair commit-begin / commit-end records across both engines'
+/// layer. Used to pair commit-end records across both engines'
 /// logs during recovery (paper Section 4.6).
 using GlobalTxnId = uint64_t;
 

@@ -317,8 +317,7 @@ Status SnapshotRegistry::CommitCheckLocked(Timestamp anchor_cts,
   size_t idx = LocatePartition(*list, anchor_cts);
   if (idx == kNpos) {
     sealed_aborts_.Add(1);
-    commit_aborts_.Add(1);
-    return Status::SkeenaAbort("anchor commit predates CSR");
+    return CommitAbort(commit_aborts_sealed_, "anchor commit predates CSR");
   }
   const Partition* p = list->parts[idx];
   size_t n = p->count.load(std::memory_order_relaxed);
@@ -337,9 +336,8 @@ Status SnapshotRegistry::CommitCheckLocked(Timestamp anchor_cts,
   if (gate && anchor_engine_wrote && other_engine_wrote && lb < n &&
       p->entries[lb].key == anchor_cts &&
       p->entries[lb].vmin.load(std::memory_order_relaxed) < other_cts) {
-    commit_aborts_.Add(1);
-    return Status::SkeenaAbort(
-        "commit check failed: reader tie at anchor commit");
+    return CommitAbort(commit_aborts_reader_tie_,
+                       "commit check failed: reader tie at anchor commit");
   }
   if (lb > 0) {
     low = p->entries[lb - 1].vmax.load(std::memory_order_relaxed);
@@ -364,9 +362,11 @@ Status SnapshotRegistry::CommitCheckLocked(Timestamp anchor_cts,
 
   bool low_violated =
       other_engine_wrote ? other_cts <= low : other_cts < low;
-  if (gate && ((low != 0 && low_violated) || other_cts > high)) {
-    commit_aborts_.Add(1);
-    return Status::SkeenaAbort("commit check failed");
+  if (gate && other_cts > high) {
+    return CommitAbort(commit_aborts_high_, "commit check failed");
+  }
+  if (gate && low != 0 && low_violated) {
+    return CommitAbort(commit_aborts_low_, "commit check failed");
   }
 
   MapResult r = InstallLocked(anchor_cts, other_cts, idx, lb);
@@ -375,8 +375,14 @@ Status SnapshotRegistry::CommitCheckLocked(Timestamp anchor_cts,
     return Status::OK();
   }
   sealed_aborts_.Add(1);
+  return CommitAbort(commit_aborts_sealed_,
+                     "mapping lands in sealed CSR partition");
+}
+
+Status SnapshotRegistry::CommitAbort(ShardedCounter& bound, const char* msg) {
+  bound.Add(1);
   commit_aborts_.Add(1);
-  return Status::SkeenaAbort("mapping lands in sealed CSR partition");
+  return Status::SkeenaAbort(msg);
 }
 
 void SnapshotRegistry::Recycle() {
@@ -516,6 +522,10 @@ SnapshotRegistry::Stats SnapshotRegistry::stats() const {
   s.select_aborts = select_aborts_.Read();
   s.commit_aborts = commit_aborts_.Read();
   s.sealed_aborts = sealed_aborts_.Read();
+  s.commit_aborts_high = commit_aborts_high_.Read();
+  s.commit_aborts_low = commit_aborts_low_.Read();
+  s.commit_aborts_reader_tie = commit_aborts_reader_tie_.Read();
+  s.commit_aborts_sealed = commit_aborts_sealed_.Read();
   s.partitions_created = partitions_created_.Read();
   s.partitions_recycled = partitions_recycled_.Read();
   return s;

@@ -80,6 +80,17 @@ class SnapshotRegistry {
     uint64_t select_aborts = 0;   // snapshot selection failed
     uint64_t commit_aborts = 0;   // Algorithm 2 bounds violated
     uint64_t sealed_aborts = 0;   // mapping needed in a sealed partition
+    /// commit_aborts split by the bound that failed; the four sum to
+    /// commit_aborts. `high`: a later anchor key already maps to a smaller
+    /// other-engine value. `low`: an earlier key's view already covers the
+    /// commit. `reader_tie`: a reader at exactly the anchor commit
+    /// timestamp registered a view that misses the other-engine half.
+    /// `sealed`: the anchor position predates the registry or lands in a
+    /// sealed partition (also counted in sealed_aborts).
+    uint64_t commit_aborts_high = 0;
+    uint64_t commit_aborts_low = 0;
+    uint64_t commit_aborts_reader_tie = 0;
+    uint64_t commit_aborts_sealed = 0;
     uint64_t partitions_created = 0;
     uint64_t partitions_recycled = 0;
   };
@@ -296,6 +307,10 @@ class SnapshotRegistry {
                            bool anchor_engine_wrote, bool other_engine_wrote)
       SKEENA_REQUIRES(write_mu_);
 
+  // Counts one commit-check abort against the bound that failed and
+  // returns the abort status carrying `msg`.
+  Status CommitAbort(ShardedCounter& bound, const char* msg);
+
   void RecycleLocked(Timestamp min_snap) SKEENA_REQUIRES(write_mu_);
   void TickAccess();
 
@@ -320,6 +335,10 @@ class SnapshotRegistry {
   ShardedCounter select_aborts_;
   ShardedCounter commit_aborts_;
   ShardedCounter sealed_aborts_;
+  ShardedCounter commit_aborts_high_;
+  ShardedCounter commit_aborts_low_;
+  ShardedCounter commit_aborts_reader_tie_;
+  ShardedCounter commit_aborts_sealed_;
   ShardedCounter partitions_created_;
   ShardedCounter partitions_recycled_;
 };

@@ -230,11 +230,13 @@ void Database::LoadCatalog() {
 }
 
 Status Database::Recover() {
-  // Pair commit-begin / commit-end records across both logs: a cross-
-  // engine transaction is durably committed only if its commit-end made it
-  // to *both* logs; everything else is rolled back (its results were never
-  // released to clients — they were still waiting on durability).
-  // Paper Section 4.6.
+  // Pair commit-end records across both logs: a cross-engine transaction
+  // is durably committed only if its commit-end made it to *both* logs;
+  // everything else is rolled back (its results were never released to
+  // clients — they were still waiting on durability). Paper Section 4.6.
+  // A transaction with no commit-end in an engine's log is not committed
+  // there anyway, so commit-begin records (no longer written; older logs
+  // may hold them) decide nothing.
   std::set<GlobalTxnId> cross_seen;
   std::set<GlobalTxnId> end_in[kNumEngines];
   for (int e = 0; e < kNumEngines; ++e) {
@@ -245,9 +247,7 @@ Status Database::Recover() {
     while (reader.Next(&raw)) {
       LogRecord rec;
       if (!LogRecord::Decode(raw, &rec)) break;  // torn tail
-      if (rec.type == LogRecordType::kCommitBegin) {
-        cross_seen.insert(rec.gtid);
-      } else if (rec.type == LogRecordType::kCommitEnd) {
+      if (rec.type == LogRecordType::kCommitEnd) {
         cross_seen.insert(rec.gtid);
         end_in[e].insert(rec.gtid);
       }

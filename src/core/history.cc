@@ -343,17 +343,17 @@ class Checker {
       const TxnHistory* txn;
     };
     std::vector<Pair> writers;
-    // Other-engine-only writers also serialize through the CSR (their
-    // anchor position is their anchor begin snapshot); they join the
-    // monotonicity check but carry no cross-atomicity obligation.
+    // Other-engine-only writers also serialize through the CSR, at the
+    // anchor position their commit check installed (anchor_pos); they join
+    // the monotonicity check but carry no cross-atomicity obligation.
     std::vector<Pair> other_only;
     for (const TxnHistory& t : history_) {
       if (!Durable(t) || !t.skeena) continue;
       if (t.wrote[a] && t.wrote[o] && t.commit[a] != 0 && t.commit[o] != 0) {
         writers.push_back(Pair{t.commit[a], t.commit[o], &t});
       } else if (!t.wrote[a] && t.wrote[o] && t.commit[o] != 0 &&
-                 t.anchor_snap != kInvalidTimestamp) {
-        other_only.push_back(Pair{t.anchor_snap, t.commit[o], &t});
+                 t.anchor_pos != kInvalidTimestamp) {
+        other_only.push_back(Pair{t.anchor_pos, t.commit[o], &t});
       }
     }
     std::sort(writers.begin(), writers.end(),
@@ -729,6 +729,7 @@ std::string DumpHistory(const std::vector<TxnHistory>& history) {
       case TxnHistory::Outcome::kUnacked: os << " UNACKED"; break;
     }
     os << " anchor=" << t.anchor_snap;
+    if (t.anchor_pos != kInvalidTimestamp) os << " pos=" << t.anchor_pos;
     for (int e = 0; e < kNumEngines; ++e) {
       if (!t.used[e]) continue;
       os << " e" << e << "[b=" << t.begin[e] << " c=" << t.commit[e]

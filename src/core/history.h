@@ -93,6 +93,12 @@ struct TxnHistory {
   /// Anchor snapshot (recorded even when the anchor engine holds no data
   /// access; it orders every Skeena transaction, paper Section 4.3).
   Timestamp anchor_snap = kInvalidTimestamp;
+  /// Anchor position the commit check installed this transaction's
+  /// mapping at (kInvalidTimestamp when it ran no check). An anchor writer's
+  /// is its anchor commit; a non-serializable other-engine writer with no
+  /// anchor writes takes the anchor's latest snapshot at commit, so it can
+  /// exceed `anchor_snap`.
+  Timestamp anchor_pos = kInvalidTimestamp;
   /// Every (anchor, other) snapshot pair Algorithm 1 selected for this
   /// transaction (>1 only at read-committed).
   std::vector<std::pair<Timestamp, Timestamp>> snap_pairs;

@@ -328,22 +328,45 @@ Status Transaction::Commit() {
   // their timestamp draws never interleave and the two engines agree on
   // their commit order. Single-engine work in the non-anchor (slow) engine
   // is still effectively cross-engine — its commit must respect the
-  // anchor's start order (Section 4.3). The anchor-side position of a
-  // transaction with no anchor writes is its anchor snapshot — the one its
-  // other-engine view was selected against. Under read committed that is
-  // the latest refresh, not the anchor engine's older begin timestamp:
-  // pairing that with a newer other-engine view would publish a mapping a
-  // later snapshot reader could tear on.
+  // anchor's start order (Section 4.3).
+  //
+  // Anchor position of a transaction with no anchor writes:
+  //  * It wrote the other engine (New-Order under New-Order-Opt), under
+  //    snapshot isolation or read committed: the anchor's latest snapshot,
+  //    read under the mutex. It has nothing in the anchor for a reader to
+  //    see, so any anchor position at or past its view is sound; and no
+  //    CSR key can exceed that value while the mutex is held (keys are
+  //    anchor snapshots or anchor commit timestamps already drawn), so the
+  //    new mapping extends the order instead of landing under a later key
+  //    that maps to a smaller other-engine value (a high-bound abort).
+  //  * It only read, or runs serializable: its anchor snapshot, the one
+  //    its other-engine view was selected against. A serializable
+  //    transaction's anchor position is its serial point in the anchor,
+  //    and memdb serializes a read-only sub-transaction at its snapshot:
+  //    read validation compares against the head found at read time,
+  //    which can already be a newer anchor writer's version. Placed at the
+  //    latest snapshot, such a reader would follow a writer whose
+  //    predecessor it read, and a Figure 3 write skew would commit; at its
+  //    begin position the commit check refuses it. Under read committed
+  //    the anchor snapshot is the latest refresh.
   // Anchor-only transactions never touch the CSR (Table 3: ERMIA-S matches
   // ERMIA). Replica readers skip the check: their pair was gate-proven
   // consistent, and running it would install read mappings into the
   // replayed CSR.
   Status s;
+  Timestamp anchor_pos = kInvalidTimestamp;
   if (skeena_on_ && !db_->replica() && used_[other]) {
     s = db_->csr().OrderedCommitCheck(
         [&](SnapshotRegistry::CommitPair* pair) -> Status {
           SKEENA_RETURN_NOT_OK(pre_commit());
-          pair->anchor_cts = wrote[anchor] ? cts[anchor] : anchor_snap_;
+          if (wrote[anchor]) {
+            anchor_pos = cts[anchor];
+          } else if (wrote[other] && iso_ != IsolationLevel::kSerializable) {
+            anchor_pos = db_->engine(anchor)->LatestSnapshot();
+          } else {
+            anchor_pos = anchor_snap_;
+          }
+          pair->anchor_cts = anchor_pos;
           pair->other_cts = cts[other];
           pair->anchor_engine_wrote = wrote[anchor];
           pair->other_engine_wrote = wrote[other];
@@ -391,6 +414,7 @@ Status Transaction::Commit() {
     // means "acknowledged to the caller".
     hist_->outcome = TxnHistory::Outcome::kCommitted;
     hist_->anchor_snap = anchor_snap_;
+    hist_->anchor_pos = anchor_pos;
     for (int e = 0; e < kNumEngines; ++e) {
       hist_->commit[e] = cts[e];
       hist_->wrote[e] = wrote[e];

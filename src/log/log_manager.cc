@@ -186,6 +186,10 @@ void LogManager::SetDurableObserver(std::function<void(Lsn)> observer) {
 
 Status LogManager::FlushPass() {
   MutexLock guard(flush_mu_);
+  return FlushPassLocked();
+}
+
+Status LogManager::FlushPassLocked() {
   const Lsn from = flushed_.load(std::memory_order_relaxed);
   staged_at_flush_total_.fetch_add(
       reserved_.load(std::memory_order_acquire) - from,
@@ -300,9 +304,42 @@ Status LogManager::Flush() {
   return Status::OK();
 }
 
+Status LogManager::PacedPassLocked(uint64_t now_ns) {
+  const uint64_t flushes_before = flushes_.load(std::memory_order_relaxed);
+  Status s = FlushPassLocked();
+  if (!s.ok()) {
+    // Back off a failing device for the idle backstop, whoever retries.
+    next_pass_ns_ =
+        SteadyNowNs() + std::chrono::nanoseconds(kIdleBackstop).count();
+  } else if (flushes_.load(std::memory_order_relaxed) != flushes_before) {
+    next_pass_ns_ = now_ns + std::chrono::nanoseconds(kMinFlushPeriod).count();
+  }
+  return s;
+}
+
+void LogManager::WakeIdleFlusher() {
+  MutexLock lock(flusher_mu_);
+  if (flusher_idle_) flusher_cv_.NotifyOne();
+}
+
+void LogManager::TryLeadFlush() {
+  // A pass already on the device covers us or leaves our bytes staged for
+  // the next one: never queue behind it.
+  if (!flush_mu_.TryLock()) return;
+  const uint64_t now = SteadyNowNs();
+  if (now >= next_pass_ns_) (void)PacedPassLocked(now);
+  flush_mu_.Unlock();
+}
+
 bool LogManager::WaitDurable(Lsn lsn) {
   if (DurableLsn() >= lsn) return false;
+  if (options_.auto_flush) TryLeadFlush();
   if (SpinUntil([&] { return DurableLsn() >= lsn; })) return false;
+  // About to park: make sure a pass will cover us. A committer-led pass in
+  // flight may have walked the ring before our bytes were complete, and
+  // an append that found bytes already staged woke nobody. A flusher that
+  // is not idle re-checks for staged bytes before it idles again.
+  if (options_.auto_flush) WakeIdleFlusher();
   bool parked = false;
   while (true) {
     // Futex protocol: read the sequence, recheck the predicate, park only
@@ -320,30 +357,40 @@ bool LogManager::WaitDurable(Lsn lsn) {
 }
 
 void LogManager::FlusherLoop() {
-  // Idle backstop: bounds shutdown latency and paces retries after a
-  // device error. Never a batch window — see the class comment.
-  constexpr auto kIdleBackstop = std::chrono::milliseconds(5);
   auto stopping = [&] { return stop_.load(std::memory_order_acquire); };
   while (true) {
     // Sleep until bytes are staged (or stop). A flusher that just finished
-    // a pass finds the next batch already staged and skips the wait.
+    // a pass finds the next batch already staged and skips the wait. The
+    // backstop bounds shutdown latency.
     {
       MutexLock lock(flusher_mu_);
+      flusher_idle_ = true;
       const bool woke = flusher_cv_.WaitFor(flusher_mu_, kIdleBackstop, [&] {
         return stopping() || (options_.auto_flush && HasStaged());
       });
+      flusher_idle_ = false;
       if (!woke) continue;
     }
     if (stopping()) return;
 
     const Lsn flushed_before = flushed_.load(std::memory_order_acquire);
-    const Lsn durable_before = durable_lsn_.load(std::memory_order_acquire);
-    const auto pass_start = std::chrono::steady_clock::now();
-    if (!FlushPass().ok()) {
-      // Device error: the bytes stay staged. Retry after the backstop
-      // rather than hammering a failing device in a tight loop.
+    uint64_t wait_ns = 0;
+    {
+      MutexLock guard(flush_mu_);
+      const uint64_t now = SteadyNowNs();
+      if (now < next_pass_ns_) {
+        wait_ns = next_pass_ns_ - now;
+      } else {
+        (void)PacedPassLocked(now);  // an error pushes the floor out
+      }
+    }
+    if (wait_ns != 0) {
+      // Within the period floor, or backing off a failing device. Commits
+      // arriving meanwhile stage into the next batch, and a committer that
+      // finds the floor passed first flushes it itself.
       MutexLock lock(flusher_mu_);
-      flusher_cv_.WaitFor(flusher_mu_, kIdleBackstop, stopping);
+      flusher_cv_.WaitFor(flusher_mu_, std::chrono::nanoseconds(wait_ns),
+                          stopping);
       continue;
     }
     if (flushed_.load(std::memory_order_acquire) == flushed_before &&
@@ -352,12 +399,6 @@ void LogManager::FlusherLoop() {
       // mid-copy. It publishes in bounded time; give it the core instead
       // of re-walking the ring at full speed.
       std::this_thread::yield();
-    } else if (durable_lsn_.load(std::memory_order_acquire) != durable_before) {
-      // A flush landed: hold the next one until the period is up. Commits
-      // arriving meanwhile stage into the next batch; an appender's wake-up
-      // finds no waiter and costs nothing, and the wait at the loop top
-      // sees their bytes staged.
-      std::this_thread::sleep_until(pass_start + kMinFlushPeriod);
     }
   }
 }

@@ -32,30 +32,45 @@ inline constexpr size_t kLogFrameHeaderSize = 2 * sizeof(uint32_t);
 /// vanishingly unlikely to parse as a valid frame.
 uint32_t LogFrameCheck(std::span<const uint8_t> payload);
 
-/// Append-only write-ahead log with self-clocked group commit.
+/// Append-only write-ahead log with self-clocked, committer-led group
+/// commit.
 ///
 /// Workers append framed records into an in-memory reservation ring and
 /// immediately continue — this is the foundation of the pipelined commit
-/// protocol (paper Section 4.5, after Aether [34]): transactions never
-/// issue their own flush; a background flusher ships the completed prefix
-/// to the device and advances `durable_lsn()`, which a committing thread
-/// waits on (WaitDurable) before its results are released to the client.
+/// protocol (paper Section 4.5, after Aether [34]). A flush pass ships the
+/// completed prefix to the device and advances `durable_lsn()`, which a
+/// committing thread waits on (WaitDurable) before its results are
+/// released to the client.
 ///
-/// Group commit is self-clocked: the flusher sleeps until bytes are staged,
-/// flushes everything staged, and repeats. There is no batch window —
-/// whatever arrives while one flush is on the device forms the next batch,
-/// so the batch size follows the device's own latency (an fsync amortizes
-/// over every commit that arrived during it). A lone commit on an idle log
-/// is flushed at once.
+/// Committer-led flushing: a committer whose LSN is not yet durable tries
+/// flush_mu_ once. If it gets the lock and the period floor (below) has
+/// passed, it runs the pass on its own thread — no flusher wake-up, no
+/// park and wake of its own, and a committer waiting on both logs flushes
+/// them in phase. Otherwise a pass is already on the device or just ran,
+/// and the committer spins, then parks, until an advance covers it; before
+/// parking it wakes the flusher if that sleeps idle. The background
+/// flusher stays as the backstop: it flushes what parked committers left
+/// staged once the floor passes, retries after device errors, and drains
+/// an idle log.
 ///
-/// Flushes start at least kMinFlushPeriod apart. On a device that syncs
-/// that fast (memory, tmpfs) the flusher would otherwise flush per commit:
-/// every commit then costs a flusher wake-up plus a waiter wake-up, and
-/// commit throughput follows how quickly the scheduler turns threads
-/// around (on a 4-vCPU VM it spread ~7 % between runs and fell ~30 % with
-/// one CPU taken away). With the floor, a saturated log flushes on a
-/// steady period and each flush releases every commit that arrived during
-/// it. A device whose flush takes longer than the floor never sees it.
+/// Group commit is self-clocked: there is no batch window — whatever
+/// arrives while one pass is on the device forms the next batch, so the
+/// batch size follows the device's own latency (an fsync amortizes over
+/// every commit that arrived during it). A lone commit on an idle log is
+/// flushed at once, by its own committer.
+///
+/// One floor paces every flush the flusher or a committer starts: a
+/// flush_mu_-guarded "next pass not before" stamp, set kMinFlushPeriod
+/// after the start of each pass that advanced durability, and
+/// kIdleBackstop after a pass that failed (so neither the flusher nor a
+/// crowd of committers hammers a failing device). On a device that syncs
+/// fast (memory, tmpfs) passes would otherwise run per commit, and commit
+/// throughput would follow how quickly the scheduler turns threads around
+/// (on a 4-vCPU VM it spread ~7 % between runs and fell ~30 % with one CPU
+/// taken away). With the floor, a saturated log flushes on a steady period
+/// and each flush releases every commit that arrived during it. A device
+/// whose flush takes longer than the floor never sees it. Explicit Flush()
+/// calls are not paced.
 ///
 /// Append fast path (no mutex, no shared writes beyond three atomics):
 ///  1. one fetch_add on the reservation word claims [lsn-len, lsn);
@@ -78,10 +93,14 @@ uint32_t LogFrameCheck(std::span<const uint8_t> payload);
 /// bury mid-log), resuming LSN allocation at the valid end.
 class LogManager {
  public:
-  /// Shortest time between the starts of two background flushes (see the
-  /// class comment). The flusher sleeps off the rest of it, so the kernel's
-  /// timer slack (50 us by default on Linux) stretches the period further.
+  /// Shortest time between the starts of two paced flushes (see the class
+  /// comment). The flusher sleeps off the rest of it, so when no committer
+  /// leads, the kernel's timer slack (50 us by default on Linux) stretches
+  /// the period further.
   static constexpr std::chrono::microseconds kMinFlushPeriod{50};
+  /// Pause between paced passes after a device error, and the flusher's
+  /// idle wake-up period.
+  static constexpr std::chrono::milliseconds kIdleBackstop{5};
 
   struct Options {
     /// Deprecated, ignored: the ceiling of the removed adaptive batch
@@ -99,8 +118,9 @@ class LogManager {
     size_t block_bytes = 32 * 1024;
     /// Issue a device Sync() after each flush batch.
     bool sync_on_flush = true;
-    /// When false the background flusher never runs; only explicit Flush()
-    /// advances durability (tests of durability gating).
+    /// When false neither the background flusher nor a waiting committer
+    /// flushes; only explicit Flush() advances durability (tests of
+    /// durability gating).
     bool auto_flush = true;
   };
 
@@ -147,12 +167,13 @@ class LogManager {
     return durable_lsn_.load(std::memory_order_acquire);
   }
 
-  /// Blocks until `lsn` is durable. Spin-then-park on the durable sequence
-  /// word: the flusher publishes each durability advance with one bump and
-  /// at most one batched unpark for all waiters (none when nobody parked).
-  /// Committing threads wait here directly, so one flush releases every
-  /// commit it covers with a single wake. Returns true iff the caller truly
-  /// blocked in the kernel at least once.
+  /// Blocks until `lsn` is durable. First tries to lead a flush pass (see
+  /// the class comment; never with auto_flush off), then spins and parks on
+  /// the durable sequence word: each durability advance is published with
+  /// one bump and at most one batched unpark for all waiters (none when
+  /// nobody parked), so one flush releases every commit it covers with a
+  /// single wake. Returns true iff the caller truly blocked in the kernel
+  /// at least once.
   bool WaitDurable(Lsn lsn);
 
   /// Forces everything reserved before the call to the device (spinning out
@@ -197,8 +218,18 @@ class LogManager {
   void CopyIntoRing(Lsn lsn, const uint8_t* src, size_t n);
   void WaitForRingSpace(Lsn end);
   /// One flush round: ship the completed prefix, sync, advance durability.
-  /// Takes flush_mu_; safe from any thread.
+  /// Takes flush_mu_; safe from any thread. Not paced.
   Status FlushPass();
+  Status FlushPassLocked() SKEENA_REQUIRES(flush_mu_);
+  /// A flush round under the period floor: the caller has checked that
+  /// `now_ns` is past next_pass_ns_. Moves the floor on.
+  Status PacedPassLocked(uint64_t now_ns) SKEENA_REQUIRES(flush_mu_);
+  /// Committer-led flushing: one try-lock; runs a paced pass if the floor
+  /// has passed.
+  void TryLeadFlush();
+  /// Wakes the flusher if it sleeps at its idle wait (a committer that is
+  /// about to park calls this, so its staged bytes always get a pass).
+  void WakeIdleFlusher();
   void FlusherLoop();
 
   std::unique_ptr<StorageDevice> device_;
@@ -229,11 +260,17 @@ class LogManager {
 
   Mutex flush_mu_;  // serializes flush batches
   std::function<void(Lsn)> durable_observer_ SKEENA_GUARDED_BY(flush_mu_);
+  /// Steady-clock ns before which no paced pass may start (the one period
+  /// floor the flusher and leading committers obey).
+  uint64_t next_pass_ns_ SKEENA_GUARDED_BY(flush_mu_) = 0;
 
   // Flusher sleep/wake. Appenders take flusher_mu_ only on the
-  // empty->non-empty transition (at most once per batch).
+  // empty->non-empty transition (at most once per batch); committers take
+  // it once before they park.
   Mutex flusher_mu_;
   CondVar flusher_cv_;
+  /// The flusher sleeps in its idle wait (not in a floor wait or a pass).
+  bool flusher_idle_ SKEENA_GUARDED_BY(flusher_mu_) = false;
   std::atomic<bool> stop_{false};
   std::thread flusher_;
 

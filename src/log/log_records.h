@@ -12,15 +12,16 @@ namespace skeena {
 
 /// Log record types shared by both engines.
 ///
-/// Cross-engine transactions piggyback `kCommitBegin` (appended at
-/// pre-commit) and `kCommitEnd` (appended after post-commit) on each engine's
-/// own log, exactly as paper Section 4.6 describes; recovery pairs them by
-/// global transaction id across both logs and rolls back any cross-engine
-/// transaction that is missing a kCommitEnd in either log.
+/// Cross-engine transactions piggyback `kCommitEnd` (appended after
+/// post-commit) on each engine's own log (paper Section 4.6); recovery
+/// pairs them by global transaction id across both logs and rolls back any
+/// cross-engine transaction that is missing a kCommitEnd in either log.
+/// The paper's commit-begin marker decided nothing at recovery and was
+/// dropped; its type stays reserved and decodes as a no-op.
 enum class LogRecordType : uint8_t {
   kData = 1,         // one row image (insert/update/tombstone)
   kCommit = 2,       // single-engine transaction commit
-  kCommitBegin = 3,  // cross-engine: sub-transaction pre-committed
+  kCommitBegin = 3,  // legacy cross-engine pre-commit marker; never written
   kCommitEnd = 4,    // cross-engine: sub-transaction post-committed
 };
 

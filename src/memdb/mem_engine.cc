@@ -214,8 +214,8 @@ void MemEngine::UnlatchWriteSet(MemTxn* txn) {
   txn->latched_ = false;
 }
 
-Status MemEngine::PreCommit(MemTxn* txn, GlobalTxnId gtid,
-                            bool cross_engine) {
+Status MemEngine::PreCommit(MemTxn* txn, GlobalTxnId /*gtid*/,
+                            bool /*cross_engine*/) {
   assert(txn->state_ == MemTxn::State::kActive);
 
   if (txn->read_only()) {
@@ -274,21 +274,8 @@ Status MemEngine::PreCommit(MemTxn* txn, GlobalTxnId gtid,
     }
   }
 
-  // Cross-engine pre-commits append only the (small) commit-begin record
-  // (Section 4.6); write images are logged at post-commit. This keeps the
-  // window between the two engines' commit-timestamp assignments — during
-  // which a concurrent committer can interleave and force a commit-check
-  // abort — as short as possible.
-  if (log_ != nullptr && cross_engine) {
-    LogRecord begin;
-    begin.type = LogRecordType::kCommitBegin;
-    begin.gtid = gtid;
-    begin.cts = txn->commit_ts_;
-    std::string encoded = begin.Encode();
-    log_->Append(std::span<const uint8_t>(
-        reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
-  }
-
+  // Pre-commit appends nothing: write images and the commit record are
+  // logged at post-commit, outside the cross-engine ordered section.
   txn->state_ = MemTxn::State::kPreCommitted;
   return Status::OK();
 }
@@ -552,7 +539,7 @@ Status MemEngine::Recover(const std::set<GlobalTxnId>& excluded) {
         txns[rec.gtid].cts = rec.cts;
         break;
       case LogRecordType::kCommitBegin:
-        break;
+        break;  // no longer written; older logs may still hold it
       case LogRecordType::kCommitEnd:
         if (excluded.count(rec.gtid) == 0) {
           txns[rec.gtid].committed = true;

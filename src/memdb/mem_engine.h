@@ -114,11 +114,11 @@ class MemEngine {
               const std::function<bool(const Key&, const std::string&)>& cb);
 
   /// Pre-commit: latches the write set, draws the commit timestamp
-  /// (fetch-add), validates (first-committer-wins; OCC read validation under
-  /// serializable) and logs the write images plus — for cross-engine
-  /// transactions — a commit-begin record. On failure the transaction is
-  /// fully aborted. After success the transaction may still be aborted with
-  /// Abort() (used when Skeena's commit check fails).
+  /// (fetch-add) and validates (first-committer-wins; OCC read validation
+  /// under serializable). Logs nothing: images go out at post-commit, so
+  /// `gtid` and `cross_engine` are unused here. On failure the transaction
+  /// is fully aborted. After success the transaction may still be aborted
+  /// with Abort() (used when Skeena's commit check fails).
   Status PreCommit(MemTxn* txn, GlobalTxnId gtid, bool cross_engine);
 
   /// Post-commit: installs the buffered versions (results become visible),

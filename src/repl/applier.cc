@@ -182,7 +182,7 @@ Status Replica::HandleLog(const server::ReplLogBatch& batch) {
         pending_[e][rec.gtid].push_back(std::move(rec));
         break;
       case LogRecordType::kCommitBegin:
-        break;  // pre-commit marker; the kCommitEnd closes the group
+        break;  // legacy pre-commit marker; the kCommitEnd closes the group
       case LogRecordType::kCommit:
       case LogRecordType::kCommitEnd: {
         auto it = pending_[e].find(rec.gtid);

@@ -385,8 +385,8 @@ Status StorEngine::Delete(StorTxn* txn, TableId table, const Key& key) {
   return WriteRow(txn, t, key, std::string_view(), /*tombstone=*/true);
 }
 
-Status StorEngine::PreCommit(StorTxn* txn, GlobalTxnId gtid,
-                             bool cross_engine) {
+Status StorEngine::PreCommit(StorTxn* txn, GlobalTxnId /*gtid*/,
+                             bool /*cross_engine*/) {
   assert(txn->state_ == StorTxn::State::kActive);
 
   if (txn->read_only()) {
@@ -405,19 +405,9 @@ Status StorEngine::PreCommit(StorTxn* txn, GlobalTxnId gtid,
   txn->ser_no_ = trx_sys_.AssignSerNo(txn->tid_);
   committing_.SetSnapshot(txn->committing_slot_, txn->ser_no_);
 
-  // Only the commit-begin marker is logged here (Section 4.6); redo images
-  // move to post-commit to keep the cross-engine timestamp-assignment
-  // window narrow (see MemEngine::PreCommit).
-  if (log_ != nullptr && cross_engine) {
-    LogRecord begin;
-    begin.type = LogRecordType::kCommitBegin;
-    begin.gtid = gtid;
-    begin.cts = txn->ser_no_;
-    std::string encoded = begin.Encode();
-    log_->Append(std::span<const uint8_t>(
-        reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
-  }
-
+  // Nothing is logged here: redo images and the commit record go out at
+  // post-commit, keeping the cross-engine ordered section log-free (see
+  // MemEngine::PreCommit).
   txn->state_ = StorTxn::State::kPreCommitted;
   return Status::OK();
 }
@@ -676,7 +666,7 @@ Status StorEngine::Recover(const std::set<GlobalTxnId>& excluded) {
         txns[rec.gtid].cts = rec.cts;
         break;
       case LogRecordType::kCommitBegin:
-        break;
+        break;  // no longer written; older logs may still hold it
       case LogRecordType::kCommitEnd:
         if (excluded.count(rec.gtid) == 0) {
           txns[rec.gtid].committed = true;

@@ -117,9 +117,9 @@ class StorEngine {
   Status Scan(StorTxn* txn, TableId table, const Key& lower, size_t limit,
               const std::function<bool(const Key&, const std::string&)>& cb);
 
-  /// Pre-commit: assigns the serialisation number, appends redo images and
-  /// (for cross-engine transactions) the commit-begin record. Locks remain
-  /// held. On failure the transaction is rolled back.
+  /// Pre-commit: assigns the serialisation number. Logs nothing (redo
+  /// images go out at post-commit), so `gtid` and `cross_engine` are unused
+  /// here. Locks remain held. On failure the transaction is rolled back.
   Status PreCommit(StorTxn* txn, GlobalTxnId gtid, bool cross_engine);
 
   /// Post-commit: publishes the commit, appends the commit (or commit-end)

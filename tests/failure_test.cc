@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "core/adapters.h"
 #include "core/commit_pipeline.h"
@@ -157,6 +158,38 @@ TEST(FailureTest, FlusherBacksOffWhileDeviceFails) {
   dev->fail_writes.store(false);
   log.WaitDurable(lsn);  // the next retry heals durability
   EXPECT_GE(log.DurableLsn(), lsn);
+}
+
+TEST(FailureTest, CommitterLedFlushBacksOffWhileDeviceFails) {
+  // Waiting committers lead flush passes themselves. A failing device must
+  // push the one period floor out for them as for the flusher, so however
+  // many committers wait, the device sees the backstop's pace of retries,
+  // not one tight loop per committer.
+  auto flaky = std::make_unique<FlakyDevice>();
+  FlakyDevice* dev = flaky.get();
+  dev->fail_writes.store(true);
+  LogManager log(std::move(flaky));
+
+  constexpr int kCommitters = 4;
+  std::atomic<int> acked{0};
+  std::vector<std::thread> committers;
+  for (int i = 0; i < kCommitters; ++i) {
+    committers.emplace_back([&] {
+      uint8_t payload[32] = {};
+      log.WaitDurable(log.Append(payload));
+      acked.fetch_add(1);
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(acked.load(), 0) << "commit acked while its log flush fails";
+  // Same bound as FlusherBacksOffWhileDeviceFails.
+  EXPECT_LT(dev->writes_attempted.load(), 200u)
+      << "committers retried a failing device without backing off";
+
+  dev->fail_writes.store(false);
+  for (auto& th : committers) th.join();  // a retry after healing releases all
+  EXPECT_EQ(acked.load(), kCommitters);
+  EXPECT_GE(log.DurableLsn(), log.CurrentLsn());
 }
 
 TEST(FailureTest, SyncCommitNotAckedWhileLogFlushFails) {

@@ -9,6 +9,7 @@
 
 #include "core/skeena.h"
 #include "log/log_manager.h"
+#include "log/log_records.h"
 #include "log/segmented_device.h"
 
 namespace skeena {
@@ -254,6 +255,68 @@ TEST_F(RecoveryTest, TornLogTailIgnored) {
     std::string v;
     ASSERT_TRUE(reader->Get(*db.GetTable("m"), MakeKey(1), &v).ok());
     EXPECT_EQ(v, "good");
+  }
+}
+
+TEST_F(RecoveryTest, LegacyCommitBeginRecordsDecodeAsNoOps) {
+  // Cross-engine pre-commits once logged a commit-begin record (type 3).
+  // Logs written then must still recover: hand-append such records to
+  // both logs — one for a committed transaction, one for a transaction
+  // that crashed after pre-commit and never logged anything else.
+  GlobalTxnId committed_gtid = 0;
+  {
+    Database db(FileOptions());
+    auto mem_t = *db.CreateTable("m", EngineKind::kMem);
+    auto stor_t = *db.CreateTable("s", EngineKind::kStor);
+    auto txn = db.Begin();
+    committed_gtid = txn->gtid();
+    ASSERT_TRUE(txn->Put(mem_t, MakeKey(1), "mem-data").ok());
+    ASSERT_TRUE(txn->Put(stor_t, MakeKey(1), "stor-data").ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  const GlobalTxnId dangling_gtid = committed_gtid + 100;
+  for (const char* name : {"/mem.log", "/stor.log"}) {
+    auto dev = SegmentedLogDevice::Open(dir_ + name);
+    ASSERT_TRUE(dev.ok());
+    LogManager log(std::move(dev.value()));
+    for (GlobalTxnId gtid : {committed_gtid, dangling_gtid}) {
+      LogRecord begin;
+      begin.type = LogRecordType::kCommitBegin;
+      begin.gtid = gtid;
+      begin.cts = 1;
+      const std::string encoded = begin.Encode();
+      log.Append(std::span<const uint8_t>(
+          reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
+    }
+    ASSERT_TRUE(log.Flush().ok());
+  }
+  for (int restart = 0; restart < 2; ++restart) {
+    Database db(FileOptions());
+    ASSERT_TRUE(db.Recover().ok());
+    auto mem_t = *db.GetTable("m");
+    auto stor_t = *db.GetTable("s");
+    auto reader = db.Begin();
+    std::string v;
+    ASSERT_TRUE(reader->Get(mem_t, MakeKey(1), &v).ok());
+    EXPECT_EQ(v, "mem-data");
+    ASSERT_TRUE(reader->Get(stor_t, MakeKey(1), &v).ok());
+    EXPECT_EQ(v, "stor-data");
+    ASSERT_TRUE(reader->Commit().ok());
+    // New cross-engine commits land past the legacy records' gtids.
+    auto w = db.Begin();
+    EXPECT_GT(w->gtid(), dangling_gtid);
+    const Key k = MakeKey(2 + restart);
+    ASSERT_TRUE(w->Put(mem_t, k, "after").ok());
+    ASSERT_TRUE(w->Put(stor_t, k, "after").ok());
+    ASSERT_TRUE(w->Commit().ok());
+  }
+  Database db(FileOptions());
+  ASSERT_TRUE(db.Recover().ok());
+  auto reader = db.Begin();
+  std::string v;
+  for (int restart = 0; restart < 2; ++restart) {
+    ASSERT_TRUE(reader->Get(*db.GetTable("s"), MakeKey(2 + restart), &v).ok());
+    EXPECT_EQ(v, "after");
   }
 }
 

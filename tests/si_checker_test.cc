@@ -534,5 +534,58 @@ TEST(SiCheckerTest, WeakenedCommitGateCaughtByChecker) {
       << r.report.Summary();
 }
 
+// The other-only monotonicity guard, non-vacuous: a serializable
+// New-Order-shaped writer T (anchor read, stordb write) keeps its anchor
+// snapshot as its anchor position. A cross-engine writer W commits between
+// T's anchor read and T's commit, so T's position precedes W's anchor
+// commit while T's stordb commit follows W's: the gate refuses T at the
+// high bound. With the gate weakened T commits, and the checker must flag
+// the inverted pairs from the anchor position T's history records.
+SiReport RunWeakenedGateStorWriter(bool weaken, Status* commit) {
+  DatabaseOptions opts = test::FastOptions();
+  opts.record_history = true;
+  Database db(opts);
+  auto mem_t = *db.CreateTable("m", EngineKind::kMem);
+  auto stor_t = *db.CreateTable("s", EngineKind::kStor);
+  db.csr().TestOnlyWeakenCommitGate(weaken);
+  {
+    auto seed = db.Begin();
+    EXPECT_TRUE(seed->Put(mem_t, MakeKey(1), "m0").ok());
+    EXPECT_TRUE(seed->Put(stor_t, MakeKey(1), "s0").ok());
+    EXPECT_TRUE(seed->Commit().ok());
+  }
+  auto t = db.Begin(IsolationLevel::kSerializable);
+  std::string v;
+  EXPECT_TRUE(t->Get(mem_t, MakeKey(1), &v).ok());
+  {
+    auto w = db.Begin();
+    EXPECT_TRUE(w->Put(mem_t, MakeKey(2), "m-w").ok());
+    EXPECT_TRUE(w->Put(stor_t, MakeKey(2), "s-w").ok());
+    EXPECT_TRUE(w->Commit().ok());
+  }
+  EXPECT_TRUE(t->Put(stor_t, MakeKey(1), "s-t").ok());
+  *commit = t->Commit();
+  SiCheckOptions check;
+  check.anchor_index = db.anchor_index();
+  return CheckSnapshotIsolation(db.recorder()->Fold(), check);
+}
+
+TEST(SiCheckerTest, CommitGateRefusesInvertedStorWriter) {
+  Status commit;
+  SiReport report = RunWeakenedGateStorWriter(/*weaken=*/false, &commit);
+  EXPECT_TRUE(commit.IsSkeenaAbort()) << commit.ToString();
+  EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
+TEST(SiCheckerTest, WeakenedGateStorWriterInversionCaughtByChecker) {
+  Status commit;
+  SiReport report = RunWeakenedGateStorWriter(/*weaken=*/true, &commit);
+  ASSERT_TRUE(commit.ok()) << "weakened gate must admit the commit";
+  ASSERT_FALSE(report.ok())
+      << "checker missed the inversion the weakened gate let through";
+  EXPECT_TRUE(Flagged(report, SiViolation::Kind::kPairInversion))
+      << report.Summary();
+}
+
 }  // namespace
 }  // namespace skeena

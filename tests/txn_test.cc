@@ -348,6 +348,109 @@ TEST(TxnCommitOrderTest, ConcurrentCrossEngineWritersNeverFailCommitCheck) {
   EXPECT_GT(report.pairs, 0u);
 }
 
+// Anchor position at commit (DESIGN.md "One cross-engine commit order").
+// The New-Order shape reads the anchor, writes only the other engine, and
+// commits after a cross-engine writer W that committed meanwhile on
+// disjoint keys. Its anchor snapshot predates W's anchor commit while its
+// stordb commit follows W's, so placing it at its anchor snapshot fails
+// Algorithm 2's high bound. Under snapshot isolation it takes the anchor's
+// latest snapshot instead and commits; serializable keeps the begin
+// position and is refused.
+struct NewOrderShapeResult {
+  Status commit;
+  SnapshotRegistry::Stats csr;
+  SiReport report;
+};
+
+NewOrderShapeResult RunNewOrderShapeBehindCrossWriter(IsolationLevel iso) {
+  DatabaseOptions opts = FastOptions();
+  opts.record_history = true;
+  Database db(opts);
+  auto mem_t = *db.CreateTable("m", EngineKind::kMem);
+  auto stor_t = *db.CreateTable("s", EngineKind::kStor);
+  {
+    auto seed = db.Begin();
+    EXPECT_TRUE(seed->Put(mem_t, MakeKey(1), "m0").ok());
+    EXPECT_TRUE(seed->Put(stor_t, MakeKey(1), "s0").ok());
+    EXPECT_TRUE(seed->Commit().ok());
+  }
+  auto t = db.Begin(iso);
+  std::string v;
+  EXPECT_TRUE(t->Get(mem_t, MakeKey(1), &v).ok());  // pins the anchor snapshot
+  {
+    auto w = db.Begin();
+    EXPECT_TRUE(w->Put(mem_t, MakeKey(2), "m-w").ok());
+    EXPECT_TRUE(w->Put(stor_t, MakeKey(2), "s-w").ok());
+    EXPECT_TRUE(w->Commit().ok());
+  }
+  EXPECT_TRUE(t->Put(stor_t, MakeKey(1), "s-t").ok());
+  NewOrderShapeResult r;
+  r.commit = t->Commit();
+  r.csr = db.csr().stats();
+  SiCheckOptions check;
+  check.anchor_index = db.anchor_index();
+  r.report = CheckSnapshotIsolation(db.recorder()->Fold(), check);
+  return r;
+}
+
+TEST(TxnAnchorPositionTest, SnapshotStorWriterCommitsPastConcurrentCrossWriter) {
+  NewOrderShapeResult r = RunNewOrderShapeBehindCrossWriter(
+      IsolationLevel::kSnapshot);
+  EXPECT_TRUE(r.commit.ok()) << r.commit.ToString();
+  EXPECT_EQ(r.csr.commit_aborts, 0u);
+  EXPECT_TRUE(r.report.ok()) << r.report.Summary();
+}
+
+TEST(TxnAnchorPositionTest, SerializableStorWriterKeepsBeginPosition) {
+  NewOrderShapeResult r = RunNewOrderShapeBehindCrossWriter(
+      IsolationLevel::kSerializable);
+  EXPECT_TRUE(r.commit.IsSkeenaAbort()) << r.commit.ToString();
+  EXPECT_NE(r.commit.message().find("commit check failed"), std::string::npos)
+      << r.commit.ToString();
+  EXPECT_EQ(r.csr.commit_aborts, 1u);
+  EXPECT_EQ(r.csr.commit_aborts_high, 1u) << "the high bound must refuse it";
+  EXPECT_TRUE(r.report.ok()) << r.report.Summary();
+}
+
+// Figure 3 write skew, pinned: T's anchor snapshot predates S, so T reads
+// the old A after S has committed it. memdb's read-only validation compares
+// against the head T found at read time — already S's version — so it
+// passes; only T's anchor position orders T before S in the anchor while
+// its stordb write orders it after S's read of B. Serializable must keep T
+// at its anchor snapshot, where the commit check refuses the cycle; at the
+// anchor's latest snapshot T would land on S's key and commit.
+TEST(TxnAnchorPositionTest, SerializableCrossEngineWriteSkewRefused) {
+  Database db(FastOptions());
+  auto mem_t = *db.CreateTable("m", EngineKind::kMem);
+  auto stor_t = *db.CreateTable("s", EngineKind::kStor);
+  const Key a = MakeKey(1);
+  const Key b = MakeKey(2);
+  const Key c = MakeKey(3);
+  {
+    auto seed = db.Begin();
+    ASSERT_TRUE(seed->Put(mem_t, a, "A0").ok());
+    ASSERT_TRUE(seed->Put(mem_t, c, "C0").ok());
+    ASSERT_TRUE(seed->Put(stor_t, b, "B0").ok());
+    ASSERT_TRUE(seed->Commit().ok());
+  }
+  std::string v;
+  auto t = db.Begin(IsolationLevel::kSerializable);
+  ASSERT_TRUE(t->Get(mem_t, c, &v).ok());  // pins T's anchor snapshot
+  {
+    auto s = db.Begin(IsolationLevel::kSerializable);
+    ASSERT_TRUE(s->Get(stor_t, b, &v).ok());  // r(B)
+    ASSERT_EQ(v, "B0");
+    ASSERT_TRUE(s->Put(mem_t, a, "A-s").ok());  // w(A)
+    ASSERT_TRUE(s->Commit().ok());
+  }
+  ASSERT_TRUE(t->Get(mem_t, a, &v).ok());  // r(A): the pre-S value
+  ASSERT_EQ(v, "A0");
+  ASSERT_TRUE(t->Put(stor_t, b, "B-t").ok());  // w(B)
+  Status st = t->Commit();
+  EXPECT_TRUE(st.IsSkeenaAbort())
+      << "write skew committed under serializable: " << st.ToString();
+}
+
 TEST(TxnConfigTest, SkeenaOffCommitsIndependently) {
   DatabaseOptions opts = FastOptions();
   opts.enable_skeena = false;
