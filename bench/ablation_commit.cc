@@ -16,7 +16,6 @@
 #include <thread>
 
 #include "log/log_manager.h"
-#include "log/uring_queue.h"
 
 namespace skeena::bench {
 namespace {
@@ -96,9 +95,9 @@ void Run() {
 
   // ---- Raw-speed log path: flush backend ------------------------------
   // Engine logs on real files (tables stay in memory), comparing the
-  // synchronous pwrite file device against the segmented writer with and
-  // without io_uring under the self-clocked group-commit flusher. Flushes
-  // per commit below 1 is the batching a real fsync buys.
+  // synchronous pwrite file device against the segmented writer under the
+  // self-clocked group-commit flusher. Flushes per commit below 1 is the
+  // batching a real fsync buys.
   auto backend_tput = std::make_shared<ResultMatrix>(
       "Ablation: log flush backend (commits/s)", "Backend");
   auto backend_p99 = std::make_shared<ResultMatrix>(
@@ -112,17 +111,10 @@ void Run() {
     std::string label;
     MicroConfig::LogDisk disk;
   };
-  std::vector<Backend> backends = {
+  const std::vector<Backend> backends = {
       {"sync pwrite file", MicroConfig::LogDisk::kFilePwrite},
       {"segmented", MicroConfig::LogDisk::kSegmented},
   };
-  if (UringQueue::Supported()) {
-    backends.push_back(
-        {"segmented + io_uring", MicroConfig::LogDisk::kSegmentedUring});
-  } else {
-    std::printf(
-        "note: io_uring unavailable (kernel/build); backend row skipped\n");
-  }
 
   const std::string col = "self-clocked";
   const int log_conns = scale.connections.back();

@@ -63,7 +63,6 @@ MicroWorkload::MicroWorkload(const MicroConfig& config, bool skeena_on,
         return std::make_unique<MemDevice>(latency);
       }
       SegmentedLogDevice::Options seg;
-      seg.use_io_uring = disk == MicroConfig::LogDisk::kSegmentedUring;
       seg.latency = latency;
       auto dev = SegmentedLogDevice::Open(dir + "/" + name, seg);
       if (dev.ok()) return std::move(dev.value());

@@ -65,9 +65,8 @@ if doc["bench"] == "ablation_commit":
     assert all(v == 0 for v in sync_wakes), \
         f"sync mode issued completion wakeups: {sync_wakes}"
     print(f"  OK wakeup fields: {len(wake)} wakeup + {len(parks)} park points")
-    # Raw-speed log path: the flush-backend matrices must
-    # cover every metric for the pwrite and segmented rows (the io_uring row
-    # is present only where the kernel supports it), and the contended-append
+    # Raw-speed log path: the flush-backend matrices must cover every
+    # metric for the pwrite and segmented rows, and the contended-append
     # matrix must show the reservation ring not collapsing under threads.
     backend = [p for p in doc["points"] if "log flush backend" in p["matrix"]]
     assert backend, "no flush-backend points in BENCH_ablation_commit.json"

@@ -76,10 +76,9 @@ bool MemEngineAdapter::IsReadOnly(const SubTxn* sub) const {
   return static_cast<const MemSubTxn*>(sub)->txn->read_only();
 }
 
-Status MemEngineAdapter::PreCommit(SubTxn* sub, GlobalTxnId gtid,
-                                   bool cross_engine, Timestamp* commit_ts) {
+Status MemEngineAdapter::PreCommit(SubTxn* sub, Timestamp* commit_ts) {
   memdb::MemTxn* txn = AsMem(sub);
-  Status s = engine_.PreCommit(txn, gtid, cross_engine);
+  Status s = engine_.PreCommit(txn);
   if (s.ok()) *commit_ts = txn->commit_ts();
   return s;
 }
@@ -169,10 +168,9 @@ bool StorEngineAdapter::IsReadOnly(const SubTxn* sub) const {
   return static_cast<const StorSubTxn*>(sub)->txn->read_only();
 }
 
-Status StorEngineAdapter::PreCommit(SubTxn* sub, GlobalTxnId gtid,
-                                    bool cross_engine, Timestamp* commit_ts) {
+Status StorEngineAdapter::PreCommit(SubTxn* sub, Timestamp* commit_ts) {
   stordb::StorTxn* txn = AsStor(sub);
-  Status s = engine_.PreCommit(txn, gtid, cross_engine);
+  Status s = engine_.PreCommit(txn);
   if (s.ok()) *commit_ts = txn->ser_no();
   return s;
 }

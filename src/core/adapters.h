@@ -43,8 +43,7 @@ class MemEngineAdapter : public EngineIface {
       override;
 
   bool IsReadOnly(const SubTxn* sub) const override;
-  Status PreCommit(SubTxn* sub, GlobalTxnId gtid, bool cross_engine,
-                   Timestamp* commit_ts) override;
+  Status PreCommit(SubTxn* sub, Timestamp* commit_ts) override;
   Lsn PostCommit(SubTxn* sub, GlobalTxnId gtid, bool cross_engine) override;
   void Abort(SubTxn* sub) override;
 
@@ -94,8 +93,7 @@ class StorEngineAdapter : public EngineIface {
       override;
 
   bool IsReadOnly(const SubTxn* sub) const override;
-  Status PreCommit(SubTxn* sub, GlobalTxnId gtid, bool cross_engine,
-                   Timestamp* commit_ts) override;
+  Status PreCommit(SubTxn* sub, Timestamp* commit_ts) override;
   Lsn PostCommit(SubTxn* sub, GlobalTxnId gtid, bool cross_engine) override;
   void Abort(SubTxn* sub) override;
 

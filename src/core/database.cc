@@ -48,7 +48,6 @@ std::unique_ptr<StorageDevice> MakeLogDevice(const DatabaseOptions& options,
   }
   std::filesystem::create_directories(options.data_dir);
   SegmentedLogDevice::Options seg;
-  seg.use_io_uring = true;
   seg.latency = options.log_latency;
   const std::string path = options.data_dir + "/" + name;
   return OpenOrDie(SegmentedLogDevice::Open(path, seg), path);

@@ -58,8 +58,8 @@ struct DatabaseOptions {
   /// Test/bench hook: builds each engine's log device, called with the
   /// log's name ("mem.log" / "stor.log"). When unset, each log is a
   /// MemDevice, or with data_dir set a SegmentedLogDevice directory of
-  /// preallocated 8 MiB segments at "<data_dir>/<name>" that batches writes
-  /// and syncs through io_uring where the kernel supports it.
+  /// preallocated 8 MiB segments at "<data_dir>/<name>", written with
+  /// pwrite and synced with fdatasync.
   std::function<std::unique_ptr<StorageDevice>(const std::string& name)>
       log_device_factory;
 

@@ -71,8 +71,7 @@ class EngineIface {
 
   /// Pre-commit: decide + expose the commit timestamp. The sub-transaction
   /// can still be aborted afterwards (Skeena commit-check failure).
-  virtual Status PreCommit(SubTxn* sub, GlobalTxnId gtid, bool cross_engine,
-                           Timestamp* commit_ts) = 0;
+  virtual Status PreCommit(SubTxn* sub, Timestamp* commit_ts) = 0;
   /// Post-commit: make results visible; returns the commit record's LSN.
   virtual Lsn PostCommit(SubTxn* sub, GlobalTxnId gtid,
                          bool cross_engine) = 0;

@@ -314,8 +314,8 @@ Status Transaction::Commit() {
     for (int i = 0; i < 2; ++i) {
       int e = order[i];
       if (!used_[e]) continue;
-      SKEENA_RETURN_NOT_OK(db_->engine(e)->PreCommit(
-          subs_[e].get(), gtid_, cross && skeena_on_, &cts[e]));
+      SKEENA_RETURN_NOT_OK(
+          db_->engine(e)->PreCommit(subs_[e].get(), &cts[e]));
       wrote[e] = !db_->engine(e)->IsReadOnly(subs_[e].get());
     }
     return Status::OK();
@@ -341,14 +341,14 @@ Status Transaction::Commit() {
   //    that maps to a smaller other-engine value (a high-bound abort).
   //  * It only read, or runs serializable: its anchor snapshot, the one
   //    its other-engine view was selected against. A serializable
-  //    transaction's anchor position is its serial point in the anchor,
-  //    and memdb serializes a read-only sub-transaction at its snapshot:
-  //    read validation compares against the head found at read time,
-  //    which can already be a newer anchor writer's version. Placed at the
-  //    latest snapshot, such a reader would follow a writer whose
-  //    predecessor it read, and a Figure 3 write skew would commit; at its
-  //    begin position the commit check refuses it. Under read committed
-  //    the anchor snapshot is the latest refresh.
+  //    transaction's anchor position is its serial point in the anchor.
+  //    memdb's read validation requires each version read to still be
+  //    the head, but a read-only sub-transaction's validation cannot see
+  //    a writer that has pre-committed and not yet installed its version.
+  //    Placed at the latest snapshot, such a reader could follow a writer
+  //    whose predecessor it read, and a Figure 3 write skew would commit;
+  //    at its begin position the commit check refuses it. Under read
+  //    committed the anchor snapshot is the latest refresh.
   // Anchor-only transactions never touch the CSR (Table 3: ERMIA-S matches
   // ERMIA). Replica readers skip the check: their pair was gate-proven
   // consistent, and running it would install read mappings into the

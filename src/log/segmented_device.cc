@@ -17,7 +17,6 @@ namespace {
 constexpr uint64_t kPageBytes = 4096;
 constexpr char kSegmentPrefix[] = "wal.";
 constexpr char kSegmentSuffix[] = ".seg";
-constexpr unsigned kUringEntries = 64;
 
 uint64_t AlignUp(uint64_t v, uint64_t a) { return (v + a - 1) & ~(a - 1); }
 
@@ -111,11 +110,6 @@ Result<std::unique_ptr<SegmentedLogDevice>> SegmentedLogDevice::Open(
     device->logical_size_ =
         static_cast<uint64_t>(count) * device->segment_bytes_;
   }
-
-  if (options.use_io_uring && UringQueue::Supported()) {
-    auto ring = UringQueue::Create(kUringEntries);
-    if (ring.ok()) device->uring_ = std::move(ring).value();
-  }
   return device;
 }
 
@@ -199,15 +193,6 @@ Status SegmentedLogDevice::WritePiecesLocked(uint64_t offset,
   const size_t last_seg = static_cast<size_t>((end - 1) / segment_bytes_);
   SKEENA_RETURN_NOT_OK(EnsureSegmentsLocked(last_seg + 1));
 
-  struct Piece {
-    size_t seg;
-    uint64_t file_off;
-    const uint8_t* src;
-    size_t len;
-  };
-  Piece pieces[2 + 1];  // a flush batch spans at most a few segments
-  size_t n_pieces = 0;
-  std::vector<Piece> overflow;
   uint64_t at = offset;
   const uint8_t* src = data.data();
   while (at < end) {
@@ -215,50 +200,11 @@ Status SegmentedLogDevice::WritePiecesLocked(uint64_t offset,
     const uint64_t file_off = at % segment_bytes_;
     const uint64_t len =
         std::min<uint64_t>(segment_bytes_ - file_off, end - at);
-    Piece piece{seg, file_off, src, static_cast<size_t>(len)};
-    if (n_pieces < std::size(pieces)) {
-      pieces[n_pieces++] = piece;
-    } else {
-      overflow.push_back(piece);
-    }
+    SKEENA_RETURN_NOT_OK(PwritePieceLocked(
+        segments_[seg], file_off, std::span(src, static_cast<size_t>(len))));
     at += len;
     src += len;
   }
-  auto each_piece = [&](auto&& fn) -> Status {
-    for (size_t i = 0; i < n_pieces; ++i) SKEENA_RETURN_NOT_OK(fn(pieces[i]));
-    for (const Piece& piece : overflow) SKEENA_RETURN_NOT_OK(fn(piece));
-    return Status::OK();
-  };
-
-  // io_uring path: queue every piece and submit the batch with one
-  // syscall. Any ring failure falls through to the synchronous path below
-  // — offsets make the redo idempotent.
-  if (uring_ != nullptr) {
-    bool queued_all = true;
-    Status st = each_piece([&](const Piece& piece) -> Status {
-      Segment& seg = segments_[piece.seg];
-      if (!uring_->PushWrite(seg.write_fd, piece.src,
-                             static_cast<unsigned>(piece.len),
-                             piece.file_off)) {
-        queued_all = false;
-      } else {
-        seg.dirty = true;
-      }
-      return Status::OK();
-    });
-    (void)st;
-    Status submit = uring_->SubmitAndWait();
-    if (queued_all && submit.ok()) {
-      bytes_written_ += data.size();
-      if (end > logical_size_) logical_size_ = end;
-      return Status::OK();
-    }
-  }
-
-  SKEENA_RETURN_NOT_OK(each_piece([&](const Piece& piece) -> Status {
-    return PwritePieceLocked(segments_[piece.seg], piece.file_off,
-                             std::span(piece.src, piece.len));
-  }));
   bytes_written_ += data.size();
   if (end > logical_size_) logical_size_ = end;
   return Status::OK();
@@ -318,18 +264,6 @@ Status SegmentedLogDevice::ReadAt(uint64_t offset,
 Status SegmentedLogDevice::Sync() {
   {
     MutexLock guard(mu_);
-    if (uring_ != nullptr) {
-      bool queued_all = true;
-      for (Segment& seg : segments_) {
-        if (seg.dirty && !uring_->PushFsync(seg.write_fd)) queued_all = false;
-      }
-      if (queued_all && uring_->SubmitAndWait().ok()) {
-        for (Segment& seg : segments_) seg.dirty = false;
-        SpinWaitNs(options_.latency.sync_ns);
-        return Status::OK();
-      }
-      // Ring hiccup: fall through and sync synchronously.
-    }
     for (Segment& seg : segments_) {
       if (!seg.dirty) continue;
       if (::fdatasync(seg.write_fd) != 0) {

@@ -8,7 +8,6 @@
 
 #include "common/thread_annotations.h"
 #include "log/storage_device.h"
-#include "log/uring_queue.h"
 
 namespace skeena {
 
@@ -30,18 +29,16 @@ namespace skeena {
 /// bound (all preallocated bytes) and `LogManager`'s tail scan + Truncate
 /// re-establishes the logical end.
 ///
-/// Write backends, per flush batch, both offset-addressed and idempotent:
-///  * pwrite (always available);
-///  * io_uring when enabled and the kernel supports it — the batch's
-///    segment pieces and the fdatasync submit as one ring batch with a
-///    single syscall, falling back to pwrite on any ring error.
+/// Writes are offset-addressed pwrites, one per segment piece of a flush
+/// batch, so a redo of the same batch is idempotent. `Sync` fdatasyncs
+/// each segment written since the last sync and returns the first failure
+/// without retrying it: Linux reports a writeback error once per open
+/// file, so a same-call retry could succeed after the dirty pages were
+/// dropped.
 class SegmentedLogDevice : public StorageDevice {
  public:
   struct Options {
     uint64_t segment_bytes = 8 * 1024 * 1024;  // rounded up to 4 KiB
-    /// Batch writes + syncs through io_uring when built in and the kernel
-    /// cooperates; silently falls back to pwrite otherwise.
-    bool use_io_uring = false;
     DeviceLatency latency = DeviceLatency::Tmpfs();
   };
 
@@ -68,8 +65,6 @@ class SegmentedLogDevice : public StorageDevice {
   const std::string& dir() const { return dir_; }
   uint64_t segment_bytes() const { return segment_bytes_; }
   uint64_t segment_count() const;
-  /// Effective backend after runtime probing (for tests and bench labels).
-  bool using_io_uring() const { return uring_ != nullptr; }
 
  private:
   struct Segment {
@@ -96,7 +91,6 @@ class SegmentedLogDevice : public StorageDevice {
   std::vector<Segment> segments_ SKEENA_GUARDED_BY(mu_);
   uint64_t logical_size_ SKEENA_GUARDED_BY(mu_) = 0;
   int dir_fd_ = -1;  // fsynced after segment create/unlink
-  std::unique_ptr<UringQueue> uring_;
 
   mutable uint64_t bytes_read_ SKEENA_GUARDED_BY(mu_) = 0;
   uint64_t bytes_written_ SKEENA_GUARDED_BY(mu_) = 0;

@@ -123,7 +123,7 @@ Status MemEngine::Get(MemTxn* txn, TableId table, const Key& key,
   EpochGuard guard(*epoch_);
   Version* v = ReadVisible(rec, txn->begin_ts());
   if (txn->isolation() == IsolationLevel::kSerializable) {
-    txn->AddRead(rec, rec->head.load(std::memory_order_acquire));
+    txn->AddRead(rec, v);
   }
   if (v == nullptr || v->tombstone) return Status::NotFound();
   *value = v->value;
@@ -185,7 +185,7 @@ Status MemEngine::Scan(
       EpochGuard guard(*epoch_);
       Version* v = ReadVisible(rec, txn->begin_ts());
       if (txn->isolation() == IsolationLevel::kSerializable) {
-        txn->AddRead(rec, rec->head.load(std::memory_order_acquire));
+        txn->AddRead(rec, v);
       }
       if (v == nullptr || v->tombstone) return true;
       row = v->value;
@@ -214,8 +214,7 @@ void MemEngine::UnlatchWriteSet(MemTxn* txn) {
   txn->latched_ = false;
 }
 
-Status MemEngine::PreCommit(MemTxn* txn, GlobalTxnId /*gtid*/,
-                            bool /*cross_engine*/) {
+Status MemEngine::PreCommit(MemTxn* txn) {
   assert(txn->state_ == MemTxn::State::kActive);
 
   if (txn->read_only()) {
@@ -223,7 +222,7 @@ Status MemEngine::PreCommit(MemTxn* txn, GlobalTxnId /*gtid*/,
     // transactions a serial point at commit.
     if (txn->isolation() == IsolationLevel::kSerializable) {
       for (const auto& r : txn->reads()) {
-        if (r.rec->head.load(std::memory_order_acquire) != r.observed_head) {
+        if (r.rec->head.load(std::memory_order_acquire) != r.read_version) {
           Abort(txn);
           return Status::Aborted("serializability validation failed");
         }
@@ -266,7 +265,7 @@ Status MemEngine::PreCommit(MemTxn* txn, GlobalTxnId /*gtid*/,
         Abort(txn);
         return Status::Aborted("read validation: concurrent committer");
       }
-      if (r.rec->head.load(std::memory_order_acquire) != r.observed_head) {
+      if (r.rec->head.load(std::memory_order_acquire) != r.read_version) {
         UnlatchWriteSet(txn);
         Abort(txn);
         return Status::Aborted("read validation: version changed");

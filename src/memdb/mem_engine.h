@@ -115,11 +115,11 @@ class MemEngine {
 
   /// Pre-commit: latches the write set, draws the commit timestamp
   /// (fetch-add) and validates (first-committer-wins; OCC read validation
-  /// under serializable). Logs nothing: images go out at post-commit, so
-  /// `gtid` and `cross_engine` are unused here. On failure the transaction
-  /// is fully aborted. After success the transaction may still be aborted
-  /// with Abort() (used when Skeena's commit check fails).
-  Status PreCommit(MemTxn* txn, GlobalTxnId gtid, bool cross_engine);
+  /// under serializable). Logs nothing: images go out at post-commit. On
+  /// failure the transaction is fully aborted. After success the
+  /// transaction may still be aborted with Abort() (used when Skeena's
+  /// commit check fails).
+  Status PreCommit(MemTxn* txn);
 
   /// Post-commit: installs the buffered versions (results become visible),
   /// releases latches and appends the commit / commit-end record. Returns

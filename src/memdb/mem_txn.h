@@ -38,7 +38,9 @@ class MemTxn {
 
   struct ReadEntry {
     Record* rec;
-    Version* observed_head;  // head pointer at read time (OCC validation)
+    // Version the read returned (nullptr: none visible). OCC validation
+    // requires it to still be the record's head at commit.
+    Version* read_version;
   };
 
   MemTxn(Timestamp begin_ts, IsolationLevel iso, size_t registry_slot)
@@ -74,8 +76,8 @@ class MemTxn {
         WriteEntry{rec, table, key, std::move(value), tombstone});
   }
 
-  void AddRead(Record* rec, Version* observed_head) {
-    reads_.push_back(ReadEntry{rec, observed_head});
+  void AddRead(Record* rec, Version* read_version) {
+    reads_.push_back(ReadEntry{rec, read_version});
   }
 
   std::vector<WriteEntry>& writes() { return writes_; }

@@ -385,8 +385,7 @@ Status StorEngine::Delete(StorTxn* txn, TableId table, const Key& key) {
   return WriteRow(txn, t, key, std::string_view(), /*tombstone=*/true);
 }
 
-Status StorEngine::PreCommit(StorTxn* txn, GlobalTxnId /*gtid*/,
-                             bool /*cross_engine*/) {
+Status StorEngine::PreCommit(StorTxn* txn) {
   assert(txn->state_ == StorTxn::State::kActive);
 
   if (txn->read_only()) {

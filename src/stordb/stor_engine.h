@@ -118,9 +118,9 @@ class StorEngine {
               const std::function<bool(const Key&, const std::string&)>& cb);
 
   /// Pre-commit: assigns the serialisation number. Logs nothing (redo
-  /// images go out at post-commit), so `gtid` and `cross_engine` are unused
-  /// here. Locks remain held. On failure the transaction is rolled back.
-  Status PreCommit(StorTxn* txn, GlobalTxnId gtid, bool cross_engine);
+  /// images go out at post-commit). Locks remain held. On failure the
+  /// transaction is rolled back.
+  Status PreCommit(StorTxn* txn);
 
   /// Post-commit: publishes the commit, appends the commit (or commit-end)
   /// record, releases locks. Returns the commit record's LSN.

@@ -39,7 +39,7 @@ TEST(AnomalyTest, IsolationFailureObservableWithoutCoordination) {
 
   // ...commits the mem half only (stor half still in flight).
   Timestamp cts;
-  ASSERT_TRUE(mem->PreCommit(t_mem.get(), 1, false, &cts).ok());
+  ASSERT_TRUE(mem->PreCommit(t_mem.get(), &cts).ok());
   mem->PostCommit(t_mem.get(), 1, false);
 
   // U begins now and reads both engines with native latest snapshots.
@@ -55,7 +55,7 @@ TEST(AnomalyTest, IsolationFailureObservableWithoutCoordination) {
   mem->Abort(u_mem.get());
   stor->Abort(u_stor.get());
   // Finish T.
-  ASSERT_TRUE(stor->PreCommit(t_stor.get(), 1, false, &cts).ok());
+  ASSERT_TRUE(stor->PreCommit(t_stor.get(), &cts).ok());
   stor->PostCommit(t_stor.get(), 1, false);
 }
 

@@ -70,7 +70,7 @@ TEST(FailureTest, BufferPoolMissSurfacesReadError) {
     auto txn = engine.Begin(IsolationLevel::kSnapshot);
     ASSERT_TRUE(engine.Put(txn.get(), t, MakeKey(k), std::string(64, 'x'))
                     .ok());
-    ASSERT_TRUE(engine.PreCommit(txn.get(), k + 1, false).ok());
+    ASSERT_TRUE(engine.PreCommit(txn.get()).ok());
     engine.PostCommit(txn.get(), k + 1, false);
   }
 

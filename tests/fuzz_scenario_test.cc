@@ -308,8 +308,8 @@ SiReport RunCrashScenario(uint64_t seed) {
         continue;
       }
       Timestamp ca = 0, co = 0;
-      if (!mem->PreCommit(t_mem.get(), gtid, true, &ca).ok() ||
-          !stor->PreCommit(t_stor.get(), gtid, true, &co).ok()) {
+      if (!mem->PreCommit(t_mem.get(), &ca).ok() ||
+          !stor->PreCommit(t_stor.get(), &co).ok()) {
         mem->Abort(t_mem.get());
         stor->Abort(t_stor.get());
         continue;

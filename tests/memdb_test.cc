@@ -24,15 +24,12 @@ class MemEngineTest : public ::testing::Test {
   void CommitPut(uint64_t key, const std::string& value) {
     auto txn = engine_.Begin(IsolationLevel::kSnapshot);
     ASSERT_TRUE(engine_.Put(txn.get(), table_, MakeKey(key), value).ok());
-    ASSERT_TRUE(engine_.PreCommit(txn.get(), NextGtid(), false).ok());
+    ASSERT_TRUE(engine_.PreCommit(txn.get()).ok());
     engine_.PostCommit(txn.get(), 0, false);
   }
 
-  GlobalTxnId NextGtid() { return gtid_++; }
-
   MemEngine engine_;
   TableId table_;
-  GlobalTxnId gtid_ = 1;
 };
 
 TEST_F(MemEngineTest, GetMissingIsNotFound) {
@@ -90,7 +87,7 @@ TEST_F(MemEngineTest, DeleteProducesTombstone) {
   CommitPut(1, "x");
   auto txn = engine_.Begin(IsolationLevel::kSnapshot);
   ASSERT_TRUE(engine_.Delete(txn.get(), table_, MakeKey(1)).ok());
-  ASSERT_TRUE(engine_.PreCommit(txn.get(), NextGtid(), false).ok());
+  ASSERT_TRUE(engine_.PreCommit(txn.get()).ok());
   engine_.PostCommit(txn.get(), 0, false);
 
   auto reader = engine_.Begin(IsolationLevel::kSnapshot);
@@ -107,11 +104,11 @@ TEST_F(MemEngineTest, FirstCommitterWins) {
   ASSERT_TRUE(engine_.Put(t1.get(), table_, MakeKey(1), "t1").ok());
   ASSERT_TRUE(engine_.Put(t2.get(), table_, MakeKey(1), "t2").ok());
 
-  ASSERT_TRUE(engine_.PreCommit(t1.get(), NextGtid(), false).ok());
+  ASSERT_TRUE(engine_.PreCommit(t1.get()).ok());
   engine_.PostCommit(t1.get(), 0, false);
 
   // t2 wrote the same record under an older snapshot: must abort.
-  EXPECT_TRUE(engine_.PreCommit(t2.get(), NextGtid(), false).IsAborted());
+  EXPECT_TRUE(engine_.PreCommit(t2.get()).IsAborted());
   EXPECT_EQ(t2->state(), MemTxn::State::kAborted);
 
   auto reader = engine_.Begin(IsolationLevel::kSnapshot);
@@ -135,7 +132,7 @@ TEST_F(MemEngineTest, AbortAfterPreCommitInstallsNothing) {
   CommitPut(1, "base");
   auto txn = engine_.Begin(IsolationLevel::kSnapshot);
   ASSERT_TRUE(engine_.Put(txn.get(), table_, MakeKey(1), "doomed").ok());
-  ASSERT_TRUE(engine_.PreCommit(txn.get(), NextGtid(), true).ok());
+  ASSERT_TRUE(engine_.PreCommit(txn.get()).ok());
   EXPECT_NE(txn->commit_ts(), kInvalidTimestamp);
   engine_.Abort(txn.get());
 
@@ -155,8 +152,43 @@ TEST_F(MemEngineTest, SerializableReadValidationAbortsOnChange) {
 
   CommitPut(1, "interloper");  // invalidates t1's read
 
-  EXPECT_TRUE(engine_.PreCommit(t1.get(), NextGtid(), false).IsAborted())
+  EXPECT_TRUE(engine_.PreCommit(t1.get()).IsAborted())
       << "anti-dependency must abort under serializable (commit ordering)";
+}
+
+// T's snapshot predates a commit to key 1, so T reads the older version.
+// Validation must compare against the version T read, not the head present
+// at read time: that head is already the newer version, and matching it
+// would let T commit as if it followed the writer whose predecessor it saw
+// (the stale-read half of a single-engine write skew).
+TEST_F(MemEngineTest, SerializableStaleReadAfterCommitAborts) {
+  CommitPut(1, "base");
+  auto t = engine_.Begin(IsolationLevel::kSerializable);
+  CommitPut(1, "newer");
+  std::string v;
+  ASSERT_TRUE(engine_.Get(t.get(), table_, MakeKey(1), &v).ok());
+  ASSERT_EQ(v, "base");
+  ASSERT_TRUE(engine_.Put(t.get(), table_, MakeKey(2), "out").ok());
+  EXPECT_TRUE(engine_.PreCommit(t.get()).IsAborted())
+      << "a read of a superseded version must fail validation";
+}
+
+TEST_F(MemEngineTest, SerializableStaleScanAfterCommitAborts) {
+  CommitPut(1, "base");
+  auto t = engine_.Begin(IsolationLevel::kSerializable);
+  CommitPut(1, "newer");
+  std::vector<std::string> seen;
+  ASSERT_TRUE(engine_
+                  .Scan(t.get(), table_, MakeKey(1), 1,
+                        [&](const Key&, const std::string& value) {
+                          seen.push_back(value);
+                          return true;
+                        })
+                  .ok());
+  ASSERT_EQ(seen, std::vector<std::string>{"base"});
+  ASSERT_TRUE(engine_.Put(t.get(), table_, MakeKey(2), "out").ok());
+  EXPECT_TRUE(engine_.PreCommit(t.get()).IsAborted())
+      << "a scanned superseded version must fail validation";
 }
 
 TEST_F(MemEngineTest, SerializableDisjointCommits) {
@@ -166,7 +198,7 @@ TEST_F(MemEngineTest, SerializableDisjointCommits) {
   std::string v;
   ASSERT_TRUE(engine_.Get(t1.get(), table_, MakeKey(1), &v).ok());
   ASSERT_TRUE(engine_.Put(t1.get(), table_, MakeKey(3), "c").ok());
-  ASSERT_TRUE(engine_.PreCommit(t1.get(), NextGtid(), false).ok());
+  ASSERT_TRUE(engine_.PreCommit(t1.get()).ok());
   engine_.PostCommit(t1.get(), 0, false);
   EXPECT_EQ(t1->state(), MemTxn::State::kCommitted);
 }
@@ -179,7 +211,7 @@ TEST_F(MemEngineTest, SnapshotSkipsSerializableValidation) {
   ASSERT_TRUE(engine_.Put(t1.get(), table_, MakeKey(2), "w").ok());
   CommitPut(1, "newer");
   // Under SI a pure read-write (anti) dependency does not abort.
-  EXPECT_TRUE(engine_.PreCommit(t1.get(), NextGtid(), false).ok());
+  EXPECT_TRUE(engine_.PreCommit(t1.get()).ok());
   engine_.PostCommit(t1.get(), 0, false);
 }
 
@@ -247,7 +279,7 @@ TEST_F(MemEngineTest, VersionChainsPrunedAfterHorizonAdvance) {
     auto txn = engine.Begin(IsolationLevel::kSnapshot);
     ASSERT_TRUE(
         engine.Put(txn.get(), t, MakeKey(7), "v" + std::to_string(i)).ok());
-    ASSERT_TRUE(engine.PreCommit(txn.get(), i + 1, false).ok());
+    ASSERT_TRUE(engine.PreCommit(txn.get()).ok());
     engine.PostCommit(txn.get(), i + 1, false);
   }
   EXPECT_GT(engine.stats().versions_pruned, 100u)
@@ -262,14 +294,14 @@ TEST_F(MemEngineTest, ActiveReaderBlocksPruningOfItsVersion) {
   {
     auto txn = engine.Begin(IsolationLevel::kSnapshot);
     ASSERT_TRUE(engine.Put(txn.get(), t, MakeKey(7), "pinned").ok());
-    ASSERT_TRUE(engine.PreCommit(txn.get(), 1, false).ok());
+    ASSERT_TRUE(engine.PreCommit(txn.get()).ok());
     engine.PostCommit(txn.get(), 1, false);
   }
   auto reader = engine.Begin(IsolationLevel::kSnapshot);
   for (int i = 0; i < 50; ++i) {
     auto txn = engine.Begin(IsolationLevel::kSnapshot);
     ASSERT_TRUE(engine.Put(txn.get(), t, MakeKey(7), "x").ok());
-    ASSERT_TRUE(engine.PreCommit(txn.get(), i + 2, false).ok());
+    ASSERT_TRUE(engine.PreCommit(txn.get()).ok());
     engine.PostCommit(txn.get(), i + 2, false);
   }
   std::string v;
@@ -284,7 +316,6 @@ TEST_F(MemEngineTest, ConcurrentCountersNoLostUpdates) {
   constexpr int kIncrements = 300;
   std::vector<std::thread> threads;
   for (uint64_t k = 0; k < kThreads; ++k) CommitPut(k, "0");
-  std::atomic<GlobalTxnId> gtid{1000};
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIncrements;) {
@@ -300,7 +331,7 @@ TEST_F(MemEngineTest, ConcurrentCountersNoLostUpdates) {
                  .ok()) {
           continue;  // Put aborts internally on conflict
         }
-        if (engine_.PreCommit(txn.get(), gtid.fetch_add(1), false).ok()) {
+        if (engine_.PreCommit(txn.get()).ok()) {
           engine_.PostCommit(txn.get(), 0, false);
           i++;
         }
@@ -322,7 +353,6 @@ TEST_F(MemEngineTest, ContendedSingleCounterExactUnderConflicts) {
   constexpr int kThreads = 4;
   constexpr int kIncrements = 100;
   std::vector<std::thread> threads;
-  std::atomic<GlobalTxnId> gtid{5000};
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kIncrements;) {
@@ -338,7 +368,7 @@ TEST_F(MemEngineTest, ContendedSingleCounterExactUnderConflicts) {
                  .ok()) {
           continue;
         }
-        if (engine_.PreCommit(txn.get(), gtid.fetch_add(1), false).ok()) {
+        if (engine_.PreCommit(txn.get()).ok()) {
           engine_.PostCommit(txn.get(), 0, false);
           i++;
         }
@@ -362,12 +392,12 @@ TEST_F(MemEngineTest, RecoverReplaysCommittedOnly) {
     TableId t = engine.CreateTable("r");
     auto c = engine.Begin(IsolationLevel::kSnapshot);
     ASSERT_TRUE(engine.Put(c.get(), t, MakeKey(1), "committed").ok());
-    ASSERT_TRUE(engine.PreCommit(c.get(), 11, false).ok());
+    ASSERT_TRUE(engine.PreCommit(c.get()).ok());
     engine.PostCommit(c.get(), 11, false);
 
     auto a = engine.Begin(IsolationLevel::kSnapshot);
     ASSERT_TRUE(engine.Put(a.get(), t, MakeKey(2), "aborted").ok());
-    ASSERT_TRUE(engine.PreCommit(a.get(), 12, false).ok());
+    ASSERT_TRUE(engine.PreCommit(a.get()).ok());
     engine.Abort(a.get());  // pre-committed (logged data) but never ended
     engine.log()->Flush();
 

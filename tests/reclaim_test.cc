@@ -44,7 +44,7 @@ TEST(MemReclaimTortureTest, PinnedReaderNeverObservesFreedVersions) {
     auto txn = engine.Begin(IsolationLevel::kSnapshot);
     if (!engine.Put(txn.get(), t, MakeKey(key), value).ok()) return false;
     uint64_t g = gtid.fetch_add(1);
-    if (!engine.PreCommit(txn.get(), g, false).ok()) return false;
+    if (!engine.PreCommit(txn.get()).ok()) return false;
     engine.PostCommit(txn.get(), g, false);
     return true;
   };
@@ -137,7 +137,7 @@ TEST(StorReclaimTortureTest, PinnedViewNeverObservesFreedUndos) {
     auto txn = engine.Begin(IsolationLevel::kSnapshot);
     if (!engine.Put(txn.get(), t, MakeKey(key), value).ok()) return false;
     uint64_t g = gtid.fetch_add(1);
-    if (!engine.PreCommit(txn.get(), g, false).ok()) {
+    if (!engine.PreCommit(txn.get()).ok()) {
       return false;
     }
     engine.PostCommit(txn.get(), g, false);
@@ -238,7 +238,7 @@ TEST(StorReclaimTortureTest, UndoAllocationsDrainToZero) {
     auto commit_put = [&](int key, const std::string& value) {
       auto txn = engine.Begin(IsolationLevel::kSnapshot);
       ASSERT_TRUE(engine.Put(txn.get(), t, MakeKey(key), value).ok());
-      ASSERT_TRUE(engine.PreCommit(txn.get(), gtid, false).ok());
+      ASSERT_TRUE(engine.PreCommit(txn.get()).ok());
       engine.PostCommit(txn.get(), gtid, false);
       ++gtid;
     };

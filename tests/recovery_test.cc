@@ -122,8 +122,8 @@ TEST_F(RecoveryTest, PartiallyCommittedCrossTxnRolledBack) {
                   "torn-s")
             .ok());
     Timestamp cts;
-    ASSERT_TRUE(mem->PreCommit(t_mem.get(), gtid, true, &cts).ok());
-    ASSERT_TRUE(stor->PreCommit(t_stor.get(), gtid, true, &cts).ok());
+    ASSERT_TRUE(mem->PreCommit(t_mem.get(), &cts).ok());
+    ASSERT_TRUE(stor->PreCommit(t_stor.get(), &cts).ok());
     // Post-commit ONLY the mem side; "crash" before the stor side.
     mem->PostCommit(t_mem.get(), gtid, true);
     mem->FlushLog();
@@ -170,7 +170,7 @@ TEST_F(RecoveryTest, SingleEngineTxnsUnaffectedByCrossRollback) {
     ASSERT_TRUE(mem->Put(t_mem.get(), mem_t.local_id, MakeKey(11), "torn")
                     .ok());
     Timestamp cts;
-    ASSERT_TRUE(mem->PreCommit(t_mem.get(), gtid, true, &cts).ok());
+    ASSERT_TRUE(mem->PreCommit(t_mem.get(), &cts).ok());
     mem->PostCommit(t_mem.get(), gtid, true);  // cross, but stor never logs
     mem->FlushLog();
   }

@@ -466,8 +466,8 @@ MutationResult RunWeakenedGateSchedule(bool weaken) {
   EXPECT_TRUE(
       stor->Put(t_stor.get(), stor_t.local_id, MakeKey(1), "s1").ok());
   Timestamp ca = 0, co = 0;
-  EXPECT_TRUE(mem->PreCommit(t_mem.get(), gtid, true, &ca).ok());
-  EXPECT_TRUE(stor->PreCommit(t_stor.get(), gtid, true, &co).ok());
+  EXPECT_TRUE(mem->PreCommit(t_mem.get(), &ca).ok());
+  EXPECT_TRUE(stor->PreCommit(t_stor.get(), &co).ok());
   advance(2);
   // Wait until R's crossing installed its CSR mapping (lock-free count).
   while (db.csr().EntryCount() == 0) {

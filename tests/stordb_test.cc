@@ -417,13 +417,12 @@ class StorEngineTest : public ::testing::Test {
   void CommitPut(uint64_t key, const std::string& value) {
     auto txn = engine_->Begin(IsolationLevel::kSnapshot);
     ASSERT_TRUE(engine_->Put(txn.get(), table_, MakeKey(key), value).ok());
-    ASSERT_TRUE(engine_->PreCommit(txn.get(), gtid_++, false).ok());
+    ASSERT_TRUE(engine_->PreCommit(txn.get()).ok());
     engine_->PostCommit(txn.get(), 0, false);
   }
 
   std::unique_ptr<StorEngine> engine_;
   TableId table_ = 0;
-  GlobalTxnId gtid_ = 1;
 };
 
 TEST_F(StorEngineTest, PutGetRoundTrip) {
@@ -488,7 +487,7 @@ TEST_F(StorEngineTest, DeleteThenReadNotFound) {
   CommitPut(1, "x");
   auto txn = engine_->Begin(IsolationLevel::kSnapshot);
   ASSERT_TRUE(engine_->Delete(txn.get(), table_, MakeKey(1)).ok());
-  ASSERT_TRUE(engine_->PreCommit(txn.get(), gtid_++, false).ok());
+  ASSERT_TRUE(engine_->PreCommit(txn.get()).ok());
   engine_->PostCommit(txn.get(), 0, false);
 
   auto reader = engine_->Begin(IsolationLevel::kSnapshot);
@@ -525,7 +524,7 @@ TEST_F(StorEngineTest, BlockedWriterAbortsAfterWinnerCommits) {
     loser_aborted.store(s.IsAborted());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  ASSERT_TRUE(engine_->PreCommit(winner.get(), gtid_++, false).ok());
+  ASSERT_TRUE(engine_->PreCommit(winner.get()).ok());
   engine_->PostCommit(winner.get(), 0, false);
   loser_thread.join();
   EXPECT_TRUE(loser_aborted.load());
@@ -535,7 +534,7 @@ TEST_F(StorEngineTest, AbortAfterPreCommitRollsBack) {
   CommitPut(1, "base");
   auto txn = engine_->Begin(IsolationLevel::kSnapshot);
   ASSERT_TRUE(engine_->Put(txn.get(), table_, MakeKey(1), "doomed").ok());
-  ASSERT_TRUE(engine_->PreCommit(txn.get(), gtid_++, true).ok());
+  ASSERT_TRUE(engine_->PreCommit(txn.get()).ok());
   EXPECT_NE(txn->ser_no(), 0u);
   engine_->Abort(txn.get());  // Skeena commit-check failure path
 
@@ -589,7 +588,7 @@ TEST_F(StorEngineTest, SerializableReadsBlockWriters) {
     auto w = engine_->Begin(IsolationLevel::kSnapshot);
     Status s = engine_->Put(w.get(), table_, MakeKey(1), "w");
     if (s.ok()) {
-      if (engine_->PreCommit(w.get(), 999, false).ok()) {
+      if (engine_->PreCommit(w.get()).ok()) {
         engine_->PostCommit(w.get(), 0, false);
       }
     }
@@ -597,7 +596,7 @@ TEST_F(StorEngineTest, SerializableReadsBlockWriters) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(writer_done.load()) << "S lock must block the X writer";
-  ASSERT_TRUE(engine_->PreCommit(reader.get(), gtid_++, false).ok());
+  ASSERT_TRUE(engine_->PreCommit(reader.get()).ok());
   engine_->PostCommit(reader.get(), 0, false);
   writer.join();
   EXPECT_TRUE(writer_done.load());
@@ -633,12 +632,12 @@ TEST_F(StorEngineTest, RecoverReplaysCommittedOnly) {
     TableId t = engine.CreateTable("r", 256);
     auto c = engine.Begin(IsolationLevel::kSnapshot);
     ASSERT_TRUE(engine.Put(c.get(), t, MakeKey(1), "committed").ok());
-    ASSERT_TRUE(engine.PreCommit(c.get(), 21, false).ok());
+    ASSERT_TRUE(engine.PreCommit(c.get()).ok());
     engine.PostCommit(c.get(), 21, false);
 
     auto a = engine.Begin(IsolationLevel::kSnapshot);
     ASSERT_TRUE(engine.Put(a.get(), t, MakeKey(2), "aborted").ok());
-    ASSERT_TRUE(engine.PreCommit(a.get(), 22, false).ok());
+    ASSERT_TRUE(engine.PreCommit(a.get()).ok());
     engine.Abort(a.get());
     engine.log()->Flush();
     log_bytes.resize(raw->Size());
@@ -663,7 +662,6 @@ TEST_F(StorEngineTest, ConcurrentContendedCounterExact) {
   CommitPut(0, "0");
   constexpr int kThreads = 4;
   constexpr int kIncrements = 50;
-  std::atomic<GlobalTxnId> gtid{100};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
@@ -680,7 +678,7 @@ TEST_F(StorEngineTest, ConcurrentContendedCounterExact) {
                  .ok()) {
           continue;
         }
-        if (engine_->PreCommit(txn.get(), gtid.fetch_add(1), false).ok()) {
+        if (engine_->PreCommit(txn.get()).ok()) {
           engine_->PostCommit(txn.get(), 0, false);
           i++;
         }
