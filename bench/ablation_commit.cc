@@ -1,14 +1,12 @@
-// Ablation: Skeena's pipelined commit (Section 4.5) vs. a synchronous
-// commit that flushes both logs on the worker thread — on the cross-engine
+// Commit path cost (Section 4.5): the pipelined commit on the cross-engine
 // microbenchmark with an SSD-like log latency so the flush cost is visible.
 //
-// Expected shape: pipelining wins throughput at saturation. A pipelined
-// commit waits on each log's self-clocked group-commit flusher, which
-// batches every commit that arrived during the previous flush and releases
-// them with one unpark; a synchronous commit issues (or joins) a flush of
-// its own. The wakeup matrix counts the kernel wakes issued to release
-// committers — the logs' batched durable-advance unparks — per commit; the
-// park matrix counts commits whose durable wait blocked in the kernel.
+// Every commit waits on both engine logs' durable LSNs on its own thread.
+// A committer leads a flush pass when the log's period floor has passed;
+// otherwise a pass in progress (or the log's flusher) covers it and one
+// unpark releases every waiter the pass made durable. The wakeup matrix
+// counts those kernel wakes per commit; the park matrix counts commits
+// whose durable wait blocked in the kernel.
 
 #include "bench/common/bench_harness.h"
 
@@ -31,73 +29,57 @@ void Run() {
   BenchScale scale = BenchScale::FromEnv();
   MicroCache cache;
 
+  const std::string row = "pipelined commit";
   auto matrix = std::make_shared<ResultMatrix>(
-      "Ablation: commit protocol (50% InnoDB read-write micro, SSD log)",
-      "Protocol");
+      "Commit path: throughput (50% InnoDB read-write micro, SSD log)",
+      "Commit");
   auto wakeups = std::make_shared<ResultMatrix>(
-      "Ablation: commit wakeups (syscall wakeups / commit)", "Protocol");
+      "Commit path: commit wakeups (syscall wakeups / commit)", "Commit");
   auto parks = std::make_shared<ResultMatrix>(
-      "Ablation: commit waits (waiter parks / commit)", "Protocol");
+      "Commit path: commit waits (waiter parks / commit)", "Commit");
 
-  struct Variant {
-    std::string label;
-    CommitPipeline::Mode mode;
-  };
-  std::vector<Variant> variants = {
-      {"pipelined, waits on flusher", CommitPipeline::Mode::kPipelined},
-      {"synchronous flush", CommitPipeline::Mode::kSync},
-  };
-
-  for (const auto& v : variants) {
-    for (int conns : scale.connections) {
-      RegisterCell("AblationCommit/" + v.label + "/conns:" +
-                       std::to_string(conns),
-                   [=, &cache] {
-                     MicroConfig cfg = ScaledMicroConfig(MicroConfig{}, scale);
-                     cfg.read_pct = 80;
-                     cfg.stor_pct = 50;
-                     cfg.pool_fraction = 2.0;
-                     cfg.pipeline.mode = v.mode;
-                     // SSD-priced log syncs: the pipelined/synchronous
-                     // distinction only exists when flushes cost something.
-                     cfg.log_latency = DeviceLatency::Ssd();
-                     MicroWorkload* wl = cache.Get(cfg, true);
-                     // Workloads are cached per variant, so per-cell wakeup
-                     // accounting is the delta across this run.
-                     CommitPipeline::Stats before =
-                         wl->db()->pipeline().stats();
-                     uint64_t wakes_before = CommitWakes(wl->db());
-                     RunResult r = RunWorkload(
-                         conns, scale.duration_ms,
-                         [wl](int t, Rng& rng, uint64_t* q) {
-                           return wl->RunOneTxn(t, rng, q);
-                         });
-                     CommitPipeline::Stats after =
-                         wl->db()->pipeline().stats();
-                     uint64_t done = after.completed - before.completed;
-                     uint64_t wakes = CommitWakes(wl->db()) - wakes_before;
-                     uint64_t parked =
-                         after.waiter_parks - before.waiter_parks;
-                     std::string col = std::to_string(conns);
-                     matrix->Set(v.label, col, r.Tps());
-                     wakeups->Set(v.label, col,
-                                  done == 0 ? 0.0
-                                            : static_cast<double>(wakes) /
-                                                  static_cast<double>(done));
-                     parks->Set(v.label, col,
-                                done == 0 ? 0.0
-                                          : static_cast<double>(parked) /
-                                                static_cast<double>(done));
-                     return r;
-                   });
-    }
+  for (int conns : scale.connections) {
+    RegisterCell(
+        "AblationCommit/pipelined/conns:" + std::to_string(conns),
+        [=, &cache] {
+          MicroConfig cfg = ScaledMicroConfig(MicroConfig{}, scale);
+          cfg.read_pct = 80;
+          cfg.stor_pct = 50;
+          cfg.pool_fraction = 2.0;
+          // SSD-priced log syncs: batching only shows when flushes cost
+          // something.
+          cfg.log_latency = DeviceLatency::Ssd();
+          MicroWorkload* wl = cache.Get(cfg, true);
+          // The workload is cached across cells, so per-cell wakeup
+          // accounting is the delta across this run.
+          CommitPipeline::Stats before = wl->db()->pipeline().stats();
+          uint64_t wakes_before = CommitWakes(wl->db());
+          RunResult r = RunWorkload(conns, scale.duration_ms,
+                                    [wl](int t, Rng& rng, uint64_t* q) {
+                                      return wl->RunOneTxn(t, rng, q);
+                                    });
+          CommitPipeline::Stats after = wl->db()->pipeline().stats();
+          uint64_t done = after.completed - before.completed;
+          uint64_t wakes = CommitWakes(wl->db()) - wakes_before;
+          uint64_t parked = after.waiter_parks - before.waiter_parks;
+          std::string col = std::to_string(conns);
+          matrix->Set(row, col, r.Tps());
+          wakeups->Set(row, col,
+                       done == 0 ? 0.0
+                                 : static_cast<double>(wakes) /
+                                       static_cast<double>(done));
+          parks->Set(row, col,
+                     done == 0 ? 0.0
+                               : static_cast<double>(parked) /
+                                     static_cast<double>(done));
+          return r;
+        });
   }
 
-  // ---- Raw-speed log path: flush backend ------------------------------
-  // Engine logs on real files (tables stay in memory), comparing the
-  // synchronous pwrite file device against the segmented writer under the
-  // self-clocked group-commit flusher. Flushes per commit below 1 is the
-  // batching a real fsync buys.
+  // ---- Raw-speed log path: WALs on disk --------------------------------
+  // Engine logs on the segmented file device (tables stay in memory) under
+  // the self-clocked group-commit flusher. Flushes per commit below 1 is
+  // the batching a real fsync buys.
   auto backend_tput = std::make_shared<ResultMatrix>(
       "Ablation: log flush backend (commits/s)", "Backend");
   auto backend_p99 = std::make_shared<ResultMatrix>(
@@ -107,54 +89,44 @@ void Run() {
   auto backend_flushes = std::make_shared<ResultMatrix>(
       "Ablation: log flush backend (log flushes / commit)", "Backend");
 
-  struct Backend {
-    std::string label;
-    MicroConfig::LogDisk disk;
-  };
-  const std::vector<Backend> backends = {
-      {"sync pwrite file", MicroConfig::LogDisk::kFilePwrite},
-      {"segmented", MicroConfig::LogDisk::kSegmented},
-  };
-
+  const std::string backend = "segmented";
   const std::string col = "self-clocked";
   const int log_conns = scale.connections.back();
-  for (const auto& b : backends) {
-    RegisterCell("AblationLogFlush/" + b.label + "/" + col, [=, &cache] {
-      MicroConfig cfg = ScaledMicroConfig(MicroConfig{}, scale);
-      cfg.read_pct = 80;
-      cfg.stor_pct = 50;
-      cfg.pool_fraction = 2.0;
-      cfg.log_disk = b.disk;
-      MicroWorkload* wl = cache.Get(cfg, true);
-      Database* db = wl->db();
-      CommitPipeline::Stats before = db->pipeline().stats();
-      uint64_t wakes_before = CommitWakes(db);
-      uint64_t flushes_before = db->mem()->engine()->log()->flush_batches() +
-                                db->stor()->engine()->log()->flush_batches();
-      RunResult r = RunWorkload(log_conns, scale.duration_ms,
-                                [wl](int t, Rng& rng, uint64_t* q) {
-                                  return wl->RunOneTxn(t, rng, q);
-                                });
-      CommitPipeline::Stats after = db->pipeline().stats();
-      uint64_t flushes = db->mem()->engine()->log()->flush_batches() +
-                         db->stor()->engine()->log()->flush_batches() -
-                         flushes_before;
-      uint64_t done = after.completed - before.completed;
-      uint64_t wakes = CommitWakes(db) - wakes_before;
-      backend_tput->Set(b.label, col, r.Tps());
-      backend_p99->Set(b.label, col,
-                       static_cast<double>(r.latency.Percentile(99)) / 1e6);
-      backend_wakes->Set(b.label, col,
+  RegisterCell("AblationLogFlush/" + backend + "/" + col, [=, &cache] {
+    MicroConfig cfg = ScaledMicroConfig(MicroConfig{}, scale);
+    cfg.read_pct = 80;
+    cfg.stor_pct = 50;
+    cfg.pool_fraction = 2.0;
+    cfg.wal_on_disk = true;
+    MicroWorkload* wl = cache.Get(cfg, true);
+    Database* db = wl->db();
+    CommitPipeline::Stats before = db->pipeline().stats();
+    uint64_t wakes_before = CommitWakes(db);
+    uint64_t flushes_before = db->mem()->engine()->log()->flush_batches() +
+                              db->stor()->engine()->log()->flush_batches();
+    RunResult r = RunWorkload(log_conns, scale.duration_ms,
+                              [wl](int t, Rng& rng, uint64_t* q) {
+                                return wl->RunOneTxn(t, rng, q);
+                              });
+    CommitPipeline::Stats after = db->pipeline().stats();
+    uint64_t flushes = db->mem()->engine()->log()->flush_batches() +
+                       db->stor()->engine()->log()->flush_batches() -
+                       flushes_before;
+    uint64_t done = after.completed - before.completed;
+    uint64_t wakes = CommitWakes(db) - wakes_before;
+    backend_tput->Set(backend, col, r.Tps());
+    backend_p99->Set(backend, col,
+                     static_cast<double>(r.latency.Percentile(99)) / 1e6);
+    backend_wakes->Set(backend, col,
+                       done == 0 ? 0.0
+                                 : static_cast<double>(wakes) /
+                                       static_cast<double>(done));
+    backend_flushes->Set(backend, col,
                          done == 0 ? 0.0
-                                   : static_cast<double>(wakes) /
+                                   : static_cast<double>(flushes) /
                                          static_cast<double>(done));
-      backend_flushes->Set(b.label, col,
-                           done == 0 ? 0.0
-                                     : static_cast<double>(flushes) /
-                                           static_cast<double>(done));
-      return r;
-    });
-  }
+    return r;
+  });
 
   // ---- Contended append: the lock-free reservation ring ---------------
   // Raw LogManager::Append throughput with no commit waiting: more

@@ -62,17 +62,16 @@ class MicroCache {
                                  DeviceLatency l) {
     char buf[384];
     std::snprintf(buf, sizeof(buf),
-                  "%d/%llu/%zu/%.3f/%d/%llu/%zu/%llu/%d/%d/%llu/%d/%d",
+                  "%d/%llu/%zu/%.3f/%d/%llu/%zu/%llu/%d/%llu/%d/%d",
                   c.tables_per_engine,
                   static_cast<unsigned long long>(c.rows_per_table),
                   c.value_size, c.pool_fraction, skeena_on ? 1 : 0,
                   static_cast<unsigned long long>(l.read_ns),
                   c.csr.partition_capacity,
                   static_cast<unsigned long long>(c.csr.recycle_period),
-                  static_cast<int>(c.pipeline.mode),
                   static_cast<int>(c.anchor),
                   static_cast<unsigned long long>(c.log_latency.sync_ns),
-                  c.record_history ? 1 : 0, static_cast<int>(c.log_disk));
+                  c.record_history ? 1 : 0, c.wal_on_disk ? 1 : 0);
     return buf;
   }
 

@@ -37,11 +37,10 @@ MicroWorkload::MicroWorkload(const MicroConfig& config, bool skeena_on,
   opts.default_isolation = config.isolation;
   opts.stor.data_latency = data_latency;
   opts.csr = config.csr;
-  opts.pipeline = config.pipeline;
   opts.anchor = config.anchor;
   opts.log_latency = config.log_latency;
   opts.record_history = config.record_history;
-  if (config.log_disk != MicroConfig::LogDisk::kNone) {
+  if (config.wal_on_disk) {
     // Only the engine logs go to disk: data_dir stays empty so tables and
     // catalog stay on MemDevices and the WAL write path is what's measured.
     static std::atomic<uint64_t> wal_seq{0};
@@ -52,16 +51,10 @@ MicroWorkload::MicroWorkload(const MicroConfig& config, bool skeena_on,
     std::filesystem::remove_all(log_dir_);
     std::filesystem::create_directories(log_dir_);
     const std::string dir = log_dir_;
-    const MicroConfig::LogDisk disk = config.log_disk;
     const DeviceLatency latency = config.log_latency;
     opts.log_device_factory =
-        [dir, disk, latency](
+        [dir, latency](
             const std::string& name) -> std::unique_ptr<StorageDevice> {
-      if (disk == MicroConfig::LogDisk::kFilePwrite) {
-        auto dev = FileDevice::Open(dir + "/" + name, latency);
-        if (dev.ok()) return std::move(dev.value());
-        return std::make_unique<MemDevice>(latency);
-      }
       SegmentedLogDevice::Options seg;
       seg.latency = latency;
       auto dev = SegmentedLogDevice::Open(dir + "/" + name, seg);

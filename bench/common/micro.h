@@ -34,16 +34,14 @@ struct MicroConfig {
 
   // Coordinator knobs (for the ablation benches).
   SnapshotRegistry::Options csr;
-  CommitPipeline::Options pipeline;
   EngineKind anchor = EngineKind::kMem;
   DeviceLatency log_latency = DeviceLatency::Tmpfs();
 
-  /// Log write-path ablation (bench/ablation_commit.cc): kNone keeps the
-  /// default in-memory log devices; the others put ONLY the engine logs on
-  /// real files under a fresh temp dir (tables stay in memory so the log
-  /// path is what's measured).
-  enum class LogDisk { kNone, kFilePwrite, kSegmented };
-  LogDisk log_disk = LogDisk::kNone;
+  /// Log write-path ablation (bench/ablation_commit.cc): false keeps the
+  /// default in-memory log devices; true puts ONLY the engine logs on
+  /// segmented log devices under a fresh temp dir (tables stay in memory
+  /// so the log path is what's measured).
+  bool wal_on_disk = false;
 
   // Verification-hook cost measurement (bench/recording_overhead.cc).
   bool record_history = false;
@@ -79,7 +77,7 @@ class MicroWorkload {
 
  private:
   MicroConfig config_;
-  std::string log_dir_;  // temp WAL dir when log_disk != kNone
+  std::string log_dir_;  // temp WAL dir when wal_on_disk
   std::unique_ptr<Database> db_;
   std::vector<TableHandle> mem_tables_;
   std::vector<TableHandle> stor_tables_;

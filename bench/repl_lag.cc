@@ -90,8 +90,8 @@ RunResult RunCell(int write_rate, int readers, uint64_t duration_ms) {
       txn->Abort();
     }
   }
-  replica.WaitCaughtUp(primary.engine(EngineKind::kMem)->CurrentLsn(),
-                       primary.engine(EngineKind::kStor)->CurrentLsn(),
+  replica.WaitCaughtUp(primary.engine(EngineKind::kMem)->Log()->CurrentLsn(),
+                       primary.engine(EngineKind::kStor)->Log()->CurrentLsn(),
                        journal.size(), std::chrono::milliseconds(5000));
 
   std::atomic<bool> stop{false};

@@ -48,31 +48,28 @@ for p in doc["points"]:
     assert set(p) == {"matrix", "row", "col", "value"}, f"bad point {p}"
     assert isinstance(p["value"], (int, float)), f"bad value {p}"
 if doc["bench"] == "ablation_commit":
-    # The parking-lot wakeup accounting must be present for every protocol
-    # variant: syscall-wakeups-per-commit and waiter-parks-per-commit
+    # The parking-lot wakeup accounting must be present for the commit
+    # path: syscall-wakeups-per-commit and waiter-parks-per-commit
     # matrices, with sane (non-negative, finite) values.
     wake = [p for p in doc["points"] if "commit wakeups" in p["matrix"]]
     parks = [p for p in doc["points"] if "commit waits" in p["matrix"]]
     assert wake, "no wakeup-count points in BENCH_ablation_commit.json"
     assert parks, "no park-count points in BENCH_ablation_commit.json"
-    expected_rows = {"pipelined, waits on flusher", "synchronous flush"}
+    expected_rows = {"pipelined commit"}
     for name, pts in (("wakeups", wake), ("parks", parks)):
         rows = {p["row"] for p in pts}
         assert rows == expected_rows, f"{name} rows {rows} != {expected_rows}"
         for p in pts:
             assert 0 <= p["value"] < 1e6, f"absurd {name} value {p}"
-    sync_wakes = [p["value"] for p in wake if p["row"] == "synchronous flush"]
-    assert all(v == 0 for v in sync_wakes), \
-        f"sync mode issued completion wakeups: {sync_wakes}"
     print(f"  OK wakeup fields: {len(wake)} wakeup + {len(parks)} park points")
     # Raw-speed log path: the flush-backend matrices must cover every
-    # metric for the pwrite and segmented rows, and the contended-append
-    # matrix must show the reservation ring not collapsing under threads.
+    # metric for the segmented row, and the contended-append matrix must
+    # show the reservation ring not collapsing under threads.
     backend = [p for p in doc["points"] if "log flush backend" in p["matrix"]]
     assert backend, "no flush-backend points in BENCH_ablation_commit.json"
     backend_rows = {p["row"] for p in backend}
-    assert {"sync pwrite file", "segmented"} <= backend_rows, \
-        f"missing flush-backend rows: {backend_rows}"
+    assert backend_rows == {"segmented"}, \
+        f"flush-backend rows {backend_rows} != {{'segmented'}}"
     backend_metrics = {p["matrix"] for p in backend}
     assert len(backend_metrics) == 4, \
         f"expected commits/s, p99, wakeups and flushes matrices: {backend_metrics}"
@@ -149,34 +146,6 @@ if doc["bench"] == "recording_overhead":
     assert counts and all(p["value"] > 0 for p in counts), \
         f"recording cells recorded no transactions: {counts}"
     print(f"  OK recording-overhead matrix: {len(tps)} TPS cells")
-if doc["bench"] == "server_tail_latency":
-    # The open-loop network bench: every (connections x offered-rate) cell
-    # must carry p50/p99/p999 commit-latency and achieved-throughput points,
-    # the percentiles must be ordered (p50 <= p99 <= p999), and the server
-    # must have actually committed transactions over the wire.
-    by_metric = {}
-    for p in doc["points"]:
-        by_metric.setdefault(p["matrix"], []).append(p)
-    metrics = sorted(by_metric)
-    p50 = [m for m in metrics if "p50" in m]
-    p99 = [m for m in metrics if "p99 " in m]
-    p999 = [m for m in metrics if "p999" in m]
-    tput = [m for m in metrics if "throughput" in m]
-    assert p50 and p99 and p999 and tput, f"missing matrices: {metrics}"
-    cells = {(p["row"], p["col"]) for p in by_metric[p50[0]]}
-    assert cells, "no latency cells recorded"
-    for m in (p99[0], p999[0], tput[0]):
-        assert {(p["row"], p["col"]) for p in by_metric[m]} == cells, \
-            f"matrix {m} cell set differs from p50's"
-    def val(metric, cell):
-        return next(p["value"] for p in by_metric[metric]
-                    if (p["row"], p["col"]) == cell)
-    for cell in cells:
-        lo, hi, tail = val(p50[0], cell), val(p99[0], cell), val(p999[0], cell)
-        assert 0 < lo <= hi <= tail < 60_000, \
-            f"disordered percentiles at {cell}: {lo}/{hi}/{tail}"
-        assert val(tput[0], cell) > 0, f"no commits at {cell}"
-    print(f"  OK server-tail matrix: {len(cells)} cells x 4 metrics")
 if doc["bench"] == "repl_lag":
     # The replication-lag bench: every (write-rate x reader-count) cell
     # must carry lag p50/p99, replica read throughput and achieved primary

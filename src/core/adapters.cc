@@ -90,30 +90,10 @@ Lsn MemEngineAdapter::PostCommit(SubTxn* sub, GlobalTxnId gtid,
 
 void MemEngineAdapter::Abort(SubTxn* sub) { engine_.Abort(AsMem(sub)); }
 
-Lsn MemEngineAdapter::CurrentLsn() const {
-  return engine_.log() == nullptr ? 0 : engine_.log()->CurrentLsn();
-}
-
-Lsn MemEngineAdapter::DurableLsn() const {
-  return engine_.log() == nullptr ? 0 : engine_.log()->DurableLsn();
-}
-
-Status MemEngineAdapter::FlushLog() {
-  return engine_.log() == nullptr ? Status::OK() : engine_.log()->Flush();
-}
-
-bool MemEngineAdapter::WaitDurable(Lsn lsn) {
-  return engine_.log() != nullptr && engine_.log()->WaitDurable(lsn);
-}
-
 LogManager* MemEngineAdapter::Log() { return engine_.log(); }
 
 Status MemEngineAdapter::Recover(const std::set<GlobalTxnId>& excluded) {
   return engine_.Recover(excluded);
-}
-
-const StorageDevice* MemEngineAdapter::LogDevice() const {
-  return engine_.log() == nullptr ? nullptr : engine_.log()->device();
 }
 
 // --------------------------------------------------------- StorEngineAdapter
@@ -182,30 +162,10 @@ Lsn StorEngineAdapter::PostCommit(SubTxn* sub, GlobalTxnId gtid,
 
 void StorEngineAdapter::Abort(SubTxn* sub) { engine_.Abort(AsStor(sub)); }
 
-Lsn StorEngineAdapter::CurrentLsn() const {
-  return engine_.log() == nullptr ? 0 : engine_.log()->CurrentLsn();
-}
-
-Lsn StorEngineAdapter::DurableLsn() const {
-  return engine_.log() == nullptr ? 0 : engine_.log()->DurableLsn();
-}
-
-Status StorEngineAdapter::FlushLog() {
-  return engine_.log() == nullptr ? Status::OK() : engine_.log()->Flush();
-}
-
-bool StorEngineAdapter::WaitDurable(Lsn lsn) {
-  return engine_.log() != nullptr && engine_.log()->WaitDurable(lsn);
-}
-
 LogManager* StorEngineAdapter::Log() { return engine_.log(); }
 
 Status StorEngineAdapter::Recover(const std::set<GlobalTxnId>& excluded) {
   return engine_.Recover(excluded);
-}
-
-const StorageDevice* StorEngineAdapter::LogDevice() const {
-  return engine_.log() == nullptr ? nullptr : engine_.log()->device();
 }
 
 }  // namespace skeena

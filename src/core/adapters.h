@@ -47,14 +47,9 @@ class MemEngineAdapter : public EngineIface {
   Lsn PostCommit(SubTxn* sub, GlobalTxnId gtid, bool cross_engine) override;
   void Abort(SubTxn* sub) override;
 
-  Lsn CurrentLsn() const override;
-  Lsn DurableLsn() const override;
-  Status FlushLog() override;
-  bool WaitDurable(Lsn lsn) override;
   LogManager* Log() override;
 
   Status Recover(const std::set<GlobalTxnId>& excluded) override;
-  const StorageDevice* LogDevice() const override;
 
   memdb::MemEngine* engine() { return &engine_; }
 
@@ -97,14 +92,9 @@ class StorEngineAdapter : public EngineIface {
   Lsn PostCommit(SubTxn* sub, GlobalTxnId gtid, bool cross_engine) override;
   void Abort(SubTxn* sub) override;
 
-  Lsn CurrentLsn() const override;
-  Lsn DurableLsn() const override;
-  Status FlushLog() override;
-  bool WaitDurable(Lsn lsn) override;
   LogManager* Log() override;
 
   Status Recover(const std::set<GlobalTxnId>& excluded) override;
-  const StorageDevice* LogDevice() const override;
 
   stordb::StorEngine* engine() { return &engine_; }
 

@@ -4,12 +4,8 @@
 
 namespace skeena {
 
-CommitPipeline::CommitPipeline(Options options, EngineIface* engine0,
-                               EngineIface* engine1)
-    : options_(options) {
-  engines_[0] = engine0;
-  engines_[1] = engine1;
-}
+CommitPipeline::CommitPipeline(LogManager* log0, LogManager* log1)
+    : logs_{log0, log1} {}
 
 CommitPipeline::~CommitPipeline() {
   // A waiter still inside WaitDurable may be parked on a log with no
@@ -17,9 +13,7 @@ CommitPipeline::~CommitPipeline() {
   // flush both logs again for as long as anyone is in flight. Only after
   // the last one has exited is it safe to free the counters it touches.
   while (in_flight_.load(std::memory_order_acquire) != 0) {
-    for (int i = 0; i < 2; ++i) {
-      if (engines_[i] != nullptr) engines_[i]->FlushLog();
-    }
+    for (LogManager* log : logs_) log->Flush();
     // A straddler may be descheduled mid-call; give its core up rather
     // than spinning the sweep.
     std::this_thread::yield();
@@ -28,24 +22,11 @@ CommitPipeline::~CommitPipeline() {
 
 void CommitPipeline::WaitDurable(const Lsn lsns[2]) {
   in_flight_.fetch_add(1, std::memory_order_acquire);
-  if (options_.mode == Mode::kSync) {
-    // Ablation baseline: the committing thread pays for the flushes
-    // itself. A failed flush leaves the log short of `lsns`, so the wait
-    // below still holds the commit until the log's flusher retries land.
-    for (int i = 0; i < 2; ++i) {
-      if (lsns[i] != 0 && engines_[i] != nullptr &&
-          engines_[i]->DurableLsn() < lsns[i]) {
-        engines_[i]->FlushLog();
-      }
-    }
-  }
-  // No daemon hop: each log's flusher releases every waiter an advance
-  // covers with one batched unpark.
+  // No daemon hop: each log releases every waiter a flush covers with one
+  // batched unpark.
   bool parked = false;
   for (int i = 0; i < 2; ++i) {
-    if (lsns[i] != 0 && engines_[i] != nullptr) {
-      parked |= engines_[i]->WaitDurable(lsns[i]);
-    }
+    if (lsns[i] != 0) parked |= logs_[i]->WaitDurable(lsns[i]);
   }
   // Every wait resolves in exactly one bucket: blocked in the kernel at
   // least once, or never needed it (already durable, or the spin budget).

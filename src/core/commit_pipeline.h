@@ -6,7 +6,7 @@
 
 #include "common/sharded_counter.h"
 #include "common/types.h"
-#include "core/engine_iface.h"
+#include "log/log_manager.h"
 
 namespace skeena {
 
@@ -17,21 +17,13 @@ namespace skeena {
 /// results that are not yet durable.
 ///
 /// Every Transaction::Commit calls WaitDurable, which waits on each
-/// engine's WaitDurable on the committing thread. The logs' self-clocked
-/// flushers batch the commits that arrive during a flush period, and one
-/// unpark per flush releases them all — one wake hop per commit, no daemon
-/// in between (see DESIGN.md "Commit wakeup path").
+/// engine log's LogManager::WaitDurable on the committing thread. A
+/// committer leads a flush pass itself when the log's period floor has
+/// passed; otherwise the pass in progress (or the log's flusher) covers it,
+/// and one unpark per flush releases every waiter it covers — no daemon in
+/// between (see DESIGN.md "Commit wakeup path").
 class CommitPipeline {
  public:
-  enum class Mode {
-    kPipelined,  // wait on the logs' group-commit flushers
-    kSync,       // ablation: the caller flushes both logs, then waits
-  };
-
-  struct Options {
-    Mode mode = Mode::kPipelined;
-  };
-
   /// Wait accounting (sharded counters; folded on read).
   struct Stats {
     uint64_t completed = 0;
@@ -57,16 +49,16 @@ class CommitPipeline {
     uint64_t daemon_wakes = 0;
   };
 
-  CommitPipeline(Options options, EngineIface* engine0, EngineIface* engine1);
+  /// `log0`/`log1` are the engines' logs, indexed like Database::engine().
+  CommitPipeline(LogManager* log0, LogManager* log1);
   ~CommitPipeline();
 
   CommitPipeline(const CommitPipeline&) = delete;
   CommitPipeline& operator=(const CommitPipeline&) = delete;
 
-  /// Blocks until `lsns[engine]` is durable in each engine (0 = nothing to
-  /// wait for in that engine). In kSync mode the caller first flushes the
-  /// logs that do not yet cover it. Never returns while a log trails its
-  /// LSN: a failed flush leaves the wait to the log's flusher retries.
+  /// Blocks until `lsns[engine]` is durable in each engine's log (0 =
+  /// nothing to wait for in that engine). Never returns while a log trails
+  /// its LSN: a failed flush leaves the wait to the log's retries.
   void WaitDurable(const Lsn lsns[2]);
 
   uint64_t completed() const { return completed_.Read(); }
@@ -74,8 +66,7 @@ class CommitPipeline {
   Stats stats() const;
 
  private:
-  Options options_;
-  EngineIface* engines_[2];
+  LogManager* logs_[2];
   /// Calls currently inside WaitDurable; the destructor flushes both logs
   /// until this reaches zero, so exiting waiters never touch freed counter
   /// state.

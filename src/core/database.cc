@@ -130,8 +130,8 @@ Database::Database(DatabaseOptions options)
                1;
       });
     }
-    pipeline_ = std::make_unique<CommitPipeline>(options_.pipeline,
-                                                 engines_[0], engines_[1]);
+    pipeline_ = std::make_unique<CommitPipeline>(engines_[0]->Log(),
+                                                 engines_[1]->Log());
     if (options_.record_history) {
       recorder_ = std::make_unique<HistoryRecorder>();
     }
@@ -155,8 +155,8 @@ Database::Database(DatabaseOptions options)
     mem_->engine()->SetGcHorizonProvider(min_other);
   }
 
-  pipeline_ = std::make_unique<CommitPipeline>(options_.pipeline, engines_[0],
-                                               engines_[1]);
+  pipeline_ = std::make_unique<CommitPipeline>(engines_[0]->Log(),
+                                               engines_[1]->Log());
   if (options_.record_history) {
     recorder_ = std::make_unique<HistoryRecorder>();
   }
@@ -239,9 +239,7 @@ Status Database::Recover() {
   std::set<GlobalTxnId> cross_seen;
   std::set<GlobalTxnId> end_in[kNumEngines];
   for (int e = 0; e < kNumEngines; ++e) {
-    const StorageDevice* dev = engines_[e]->LogDevice();
-    if (dev == nullptr) continue;
-    LogReader reader(dev);
+    LogReader reader(engines_[e]->Log()->device());
     std::string raw;
     while (reader.Next(&raw)) {
       LogRecord rec;

@@ -48,7 +48,6 @@ struct DatabaseOptions {
   EngineKind anchor = EngineKind::kMem;
 
   SnapshotRegistry::Options csr;
-  CommitPipeline::Options pipeline;
   memdb::MemEngine::Options mem;
   stordb::StorEngine::Options stor;
 

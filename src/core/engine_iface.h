@@ -13,7 +13,6 @@
 namespace skeena {
 
 class LogManager;
-class StorageDevice;
 
 /// Opaque engine-level sub-transaction handle (paper Section 1.1: a
 /// cross-engine transaction consists of one sub-transaction per engine).
@@ -25,7 +24,8 @@ class SubTxn {
 /// The narrow engine contract Skeena requires (paper Section 4.9): engines
 /// stay autonomous; the coordinator only needs snapshot-based begin, the
 /// pre-/post-commit split exposing commit timestamps, data access routing
-/// and durable-LSN visibility for the pipelined commit wait.
+/// and durable-LSN visibility for the pipelined commit wait (the engine's
+/// LogManager, reached through Log()).
 ///
 /// Snapshot convention: `kMaxTimestamp` means "latest / native snapshot";
 /// any other value is a CSR-selected snapshot in this engine's commit-order
@@ -78,22 +78,13 @@ class EngineIface {
   virtual void Abort(SubTxn* sub) = 0;
 
   // ------------------------------------------------------------ logging
-  virtual Lsn CurrentLsn() const = 0;
-  virtual Lsn DurableLsn() const = 0;
-  virtual Status FlushLog() = 0;
-  /// Blocks until `lsn` is durable (used by committing threads). Returns
-  /// true iff the caller blocked in the kernel.
-  virtual bool WaitDurable(Lsn lsn) = 0;
-
-  /// This engine's log manager, for observer wiring (the replication
-  /// shipper hooks durable-LSN advances); null when the engine runs
-  /// without a log.
+  /// This engine's write-ahead log. Every engine has one; the commit
+  /// pipeline waits on its durable LSN, recovery pairs commit records
+  /// across its device, and the replication shipper streams it.
   virtual LogManager* Log() = 0;
 
   // ----------------------------------------------------------- recovery
   virtual Status Recover(const std::set<GlobalTxnId>& excluded_gtids) = 0;
-  /// Device holding this engine's log, for cross-engine recovery pairing.
-  virtual const StorageDevice* LogDevice() const = 0;
 };
 
 }  // namespace skeena

@@ -391,7 +391,7 @@ Status Transaction::Commit() {
                                          cross && skeena_on_);
     // Read-only sub-transactions may still have observed other
     // transactions' not-yet-durable results: gate on the log tail.
-    lsns[e] = lsn != 0 ? lsn : db_->engine(e)->CurrentLsn();
+    lsns[e] = lsn != 0 ? lsn : db_->engine(e)->Log()->CurrentLsn();
     if (i == 0 && cross && db_->options_.test_post_commit_hook) {
       // Inter-engine post-commit window: one engine's results are visible
       // (and its commit horizon may pass this transaction), the other's

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -97,8 +99,15 @@ Lsn LogManager::RecoverTail() {
     // Torn or garbage tail from a crash mid-flush: cut it off so resumed
     // appends land at `end` on a clean device. A device that cannot
     // truncate (a test fake) is still correct: the flusher writes by
-    // explicit offset, so the stale bytes are overwritten in place.
-    device_->Truncate(end);
+    // explicit offset, so the stale bytes are overwritten in place. Any
+    // other failure leaves the old tail where recovery would read it as
+    // log, so the log fails stop instead of running on it.
+    const Status s = device_->Truncate(end);
+    if (!s.ok() && s.code() != StatusCode::kNotSupported) {
+      std::fprintf(stderr, "LogManager: cannot truncate torn tail: %s\n",
+                   s.ToString().c_str());
+      std::abort();
+    }
   }
   return end;
 }
@@ -265,9 +274,7 @@ Status LogManager::FlushPassLocked() {
   // but durable_lsn_ still trails flushed_).
   const Lsn shipped = flushed_.load(std::memory_order_relaxed);
   if (durable_lsn_.load(std::memory_order_relaxed) < shipped) {
-    if (options_.sync_on_flush) {
-      SKEENA_RETURN_NOT_OK(device_->Sync());
-    }
+    SKEENA_RETURN_NOT_OK(device_->Sync());
     durable_lsn_.store(shipped, std::memory_order_release);
 
     const uint64_t now = SteadyNowNs();

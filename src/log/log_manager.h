@@ -116,8 +116,6 @@ class LogManager {
     /// when a straggling appender is still copying; larger blocks cost
     /// fewer release-count updates per append.
     size_t block_bytes = 32 * 1024;
-    /// Issue a device Sync() after each flush batch.
-    bool sync_on_flush = true;
     /// When false neither the background flusher nor a waiting committer
     /// flushes; only explicit Flush() advances durability (tests of
     /// durability gating).

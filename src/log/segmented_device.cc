@@ -146,16 +146,18 @@ Status SegmentedLogDevice::OpenSegmentLocked(size_t index, bool create) {
     ::close(write_fd);
     return Status::IOError("open (read) failed: " + path);
   }
+  if (create && dir_fd_ >= 0 && ::fsync(dir_fd_) != 0) {
+    // The new dirent must survive a crash for the segment to be found on
+    // reopen, or bytes acked into it would vanish with it. The segment
+    // stays unopened, so a retry syncs the directory again.
+    ::close(read_fd);
+    ::close(write_fd);
+    return Status::IOError("directory fsync failed: " + dir_);
+  }
   if (index >= segments_.size()) segments_.resize(index + 1);
   segments_[index].write_fd = write_fd;
   segments_[index].read_fd = read_fd;
   segments_[index].dirty = true;  // preallocation metadata wants a sync
-  if (create) {
-    // The new dirent must survive a crash for the segment to be found on
-    // reopen; recovery tolerates a missing *tail* segment (it just sees a
-    // shorter log), so a lost dir sync degrades, not corrupts.
-    if (dir_fd_ >= 0) ::fsync(dir_fd_);
-  }
   return Status::OK();
 }
 
@@ -281,16 +283,25 @@ Status SegmentedLogDevice::Truncate(uint64_t size) {
   const size_t keep =
       std::max<size_t>(1, static_cast<size_t>((size + segment_bytes_ - 1) /
                                               segment_bytes_));
+  // A later segment that stays on disk would rejoin the log on reopen, so
+  // a failed unlink or directory sync is an error, not a degraded success.
+  Status dropped = Status::OK();
   for (size_t i = keep; i < segments_.size(); ++i) {
     Segment& seg = segments_[i];
     if (seg.write_fd >= 0) ::close(seg.write_fd);
     if (seg.read_fd >= 0) ::close(seg.read_fd);
-    ::unlink(SegmentPath(i).c_str());
+    const std::string path = SegmentPath(i);
+    if (::unlink(path.c_str()) != 0 && errno != ENOENT && dropped.ok()) {
+      dropped = Status::IOError("unlink failed: " + path);
+    }
   }
   if (keep < segments_.size()) {
     segments_.resize(keep);
-    if (dir_fd_ >= 0) ::fsync(dir_fd_);
+    if (dir_fd_ >= 0 && ::fsync(dir_fd_) != 0 && dropped.ok()) {
+      dropped = Status::IOError("directory fsync failed: " + dir_);
+    }
   }
+  SKEENA_RETURN_NOT_OK(dropped);
   // Re-zero the tail segment beyond `size`: shrink to the logical tail,
   // then re-extend to the fixed segment size. Without this, stale frames
   // beyond the new tail could read as valid after the log reuses the space.

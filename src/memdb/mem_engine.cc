@@ -11,16 +11,15 @@ namespace skeena::memdb {
 
 MemEngine::MemEngine(std::unique_ptr<StorageDevice> log_device,
                      Options options, EpochManager* epoch)
-    : options_(options), active_(options.max_concurrent_txns) {
+    : options_(options), active_(kActiveSlotsPerChunk) {
+  assert(log_device != nullptr);
   if (epoch == nullptr) {
     owned_epoch_ = std::make_unique<EpochManager>();
     epoch_ = owned_epoch_.get();
   } else {
     epoch_ = epoch;
   }
-  if (options_.enable_logging) {
-    log_ = std::make_unique<LogManager>(std::move(log_device), options_.log);
-  }
+  log_ = std::make_unique<LogManager>(std::move(log_device), options_.log);
 }
 
 MemEngine::~MemEngine() = default;
@@ -301,21 +300,18 @@ Lsn MemEngine::PostCommit(MemTxn* txn, GlobalTxnId gtid, bool cross_engine) {
   if (!txn->read_only()) {
     // Log the write images (before the commit record, same log: recovery
     // sees data before commit in FIFO order).
-    if (log_ != nullptr) {
-      LogRecord rec;
-      for (const auto& w : txn->writes()) {
-        rec.type = LogRecordType::kData;
-        rec.gtid = gtid;
-        rec.cts = txn->commit_ts_;
-        rec.table = w.table;
-        rec.tombstone = w.tombstone;
-        rec.key = w.key;
-        rec.value = w.value;
-        std::string encoded = rec.Encode();
-        log_->Append(std::span<const uint8_t>(
-            reinterpret_cast<const uint8_t*>(encoded.data()),
-            encoded.size()));
-      }
+    LogRecord rec;
+    for (const auto& w : txn->writes()) {
+      rec.type = LogRecordType::kData;
+      rec.gtid = gtid;
+      rec.cts = txn->commit_ts_;
+      rec.table = w.table;
+      rec.tombstone = w.tombstone;
+      rec.key = w.key;
+      rec.value = w.value;
+      std::string encoded = rec.Encode();
+      log_->Append(std::span<const uint8_t>(
+          reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
     }
     // Unlink prunable sub-chains while latched (the cut must be ordered
     // against other installs on the record), but retire them only after
@@ -337,8 +333,7 @@ Lsn MemEngine::PostCommit(MemTxn* txn, GlobalTxnId gtid, bool cross_engine) {
   }
 
   Lsn lsn = 0;
-  if (log_ != nullptr &&
-      (!txn->read_only() || cross_engine || options_.log_read_only_commits)) {
+  if (!txn->read_only() || cross_engine || options_.log_read_only_commits) {
     LogRecord rec;
     rec.type =
         cross_engine ? LogRecordType::kCommitEnd : LogRecordType::kCommit;
@@ -466,25 +461,23 @@ Status MemEngine::ApplyReplicated(GlobalTxnId gtid, Timestamp cts,
 
   // Re-log locally (data before commit, like a primary post-commit) so the
   // replica's own WAL recovers to the same state.
-  if (log_ != nullptr) {
-    LogRecord out;
-    for (const Pending& p : pend) {
-      out = *p.r;
-      out.type = LogRecordType::kData;
-      out.gtid = gtid;
-      out.cts = cts;
-      std::string encoded = out.Encode();
-      log_->Append(std::span<const uint8_t>(
-          reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
-    }
-    LogRecord commit;
-    commit.type = LogRecordType::kCommit;
-    commit.gtid = gtid;
-    commit.cts = cts;
-    std::string encoded = commit.Encode();
+  LogRecord out;
+  for (const Pending& p : pend) {
+    out = *p.r;
+    out.type = LogRecordType::kData;
+    out.gtid = gtid;
+    out.cts = cts;
+    std::string encoded = out.Encode();
     log_->Append(std::span<const uint8_t>(
         reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
   }
+  LogRecord commit;
+  commit.type = LogRecordType::kCommit;
+  commit.gtid = gtid;
+  commit.cts = cts;
+  std::string encoded = commit.Encode();
+  log_->Append(std::span<const uint8_t>(
+      reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
 
   // Install under the record latches: replica readers run concurrently and
   // ReadVisible's wait-out-the-latch handshake is what orders their chain
@@ -513,8 +506,6 @@ Status MemEngine::ApplyReplicated(GlobalTxnId gtid, Timestamp cts,
 }
 
 Status MemEngine::Recover(const std::set<GlobalTxnId>& excluded) {
-  if (log_ == nullptr) return Status::OK();
-
   struct TxnBuf {
     std::vector<LogRecord> data;
     bool committed = false;

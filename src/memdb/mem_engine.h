@@ -43,16 +43,18 @@ namespace skeena::memdb {
 /// (coordinator-chosen) snapshots below it are rejected at Begin.
 class MemEngine {
  public:
+  /// First-chunk size of the active-snapshot registry (it grows by
+  /// chunks, so this is not a cap on concurrent transactions).
+  static constexpr size_t kActiveSlotsPerChunk = 4096;
+
   struct Options {
     LogManager::Options log;
-    bool enable_logging = true;
     /// ERMIA appends a commit record even for read-only transactions
     /// (observed in paper Section 6.4); kept for fidelity, switchable for
     /// ablations.
     bool log_read_only_commits = true;
     /// Advance the GC floor every N commits (per committing thread).
     uint64_t gc_interval = 256;
-    size_t max_concurrent_txns = 4096;
   };
 
   /// `epoch` is the reclamation domain retired versions are freed through;

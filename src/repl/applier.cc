@@ -85,8 +85,7 @@ void Replica::RunLoop() {
   while (!stop_.load(std::memory_order_acquire)) {
     Status s = ch_.ConnectTo(options_.host, options_.port);
     if (!s.ok()) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.reconnect_interval_us));
+      std::this_thread::sleep_for(kReconnectBackoff);
       continue;
     }
     if (connected_once) {
@@ -99,8 +98,7 @@ void Replica::RunLoop() {
     // fully received frames, so the tail is simply re-shipped.
     ch_.Close();
     if (!stop_.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.reconnect_interval_us));
+      std::this_thread::sleep_for(kReconnectBackoff);
     }
   }
 }

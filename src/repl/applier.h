@@ -41,11 +41,12 @@ namespace skeena::repl {
 
 class Replica {
  public:
+  /// Backoff between reconnect attempts after a severed channel.
+  static constexpr std::chrono::milliseconds kReconnectBackoff{2};
+
   struct Options {
     std::string host = "127.0.0.1";
     uint16_t port = 0;  // the shipper's port
-    /// Backoff between reconnect attempts after a severed channel.
-    uint32_t reconnect_interval_us = 2000;
   };
 
   /// `db` must be constructed with DatabaseOptions::replica = true. The

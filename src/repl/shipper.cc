@@ -26,9 +26,7 @@ Status Shipper::Start() {
   // rule — horizons only cover durably committed transactions — these are
   // the only events that can create ship work.
   for (int e = 0; e < kNumEngines; ++e) {
-    if (LogManager* lm = db_->engine(e)->Log()) {
-      lm->SetDurableObserver([this](Lsn) { BumpProgress(); });
-    }
+    db_->engine(e)->Log()->SetDurableObserver([this](Lsn) { BumpProgress(); });
   }
   journal_->SetAppendObserver([this] { BumpProgress(); });
   accept_thread_ = std::thread([this] { AcceptLoop(); });
@@ -49,9 +47,7 @@ void Shipper::Stop() {
   // under the producers' own locks, so Set*Observer(nullptr) returning
   // means no call into this (soon-destroyed) shipper is still running.
   for (int e = 0; e < kNumEngines; ++e) {
-    if (LogManager* lm = db_->engine(e)->Log()) {
-      lm->SetDurableObserver(nullptr);
-    }
+    db_->engine(e)->Log()->SetDurableObserver(nullptr);
   }
   journal_->SetAppendObserver(nullptr);
 }
@@ -91,21 +87,19 @@ Status Shipper::SendOnChannel(ReplChannel& ch, std::string frame) {
 Status Shipper::ShipLogs(ReplChannel& ch, int e, uint64_t* rid, Lsn* cursor,
                          Lsn target, bool* progress) {
   if (*cursor >= target) return Status::OK();
-  EngineIface* eng = db_->engine(e);
-  const StorageDevice* dev = eng->LogDevice();
-  if (dev == nullptr) return Status::OK();
+  const LogManager* log = db_->engine(e)->Log();
   // Torn-tail rule: never put a frame on the wire before the primary has
   // it durable. No forced flush — the engine's group commit advances this.
-  Lsn limit = std::min(target, eng->DurableLsn());
+  Lsn limit = std::min(target, log->DurableLsn());
   if (*cursor >= limit) return Status::OK();
-  LogReader reader(dev, *cursor);
+  LogReader reader(log->device(), *cursor);
   server::ReplLogBatch batch;
   batch.engine = static_cast<uint8_t>(e);
   batch.start_lsn = *cursor;
   Lsn end = *cursor;
   size_t bytes = 0;
   std::string rec;
-  while (end < limit && bytes < options_.max_batch_bytes) {
+  while (end < limit && bytes < kMaxBatchBytes) {
     if (!reader.Next(&rec)) break;
     if (reader.offset() > limit) break;  // frame crosses the bound
     end = reader.offset();
@@ -125,8 +119,7 @@ Status Shipper::ShipCsr(ReplChannel& ch, uint64_t* rid, uint64_t* cursor,
   if (*cursor >= target) return Status::OK();
   server::ReplCsrBatch batch;
   batch.first_seq = *cursor;
-  uint64_t want = std::min<uint64_t>(target - *cursor,
-                                     options_.max_batch_bytes / 16);
+  uint64_t want = std::min<uint64_t>(target - *cursor, kMaxBatchBytes / 16);
   journal_->Read(*cursor, std::max<uint64_t>(want, 1), &batch.entries);
   if (batch.entries.empty()) return Status::OK();
   SKEENA_RETURN_NOT_OK(SendOnChannel(ch, EncodeReplCsr((*rid)++, batch)));
@@ -185,8 +178,8 @@ void Shipper::Serve(int fd) {
     if (!have_wm) {
       Timestamp mem_h = db_->mem()->engine()->ReplicationHorizon();
       Timestamp stor_h = db_->stor()->engine()->ReplicationHorizon();
-      target[kMemIndex] = db_->engine(kMemIndex)->CurrentLsn();
-      target[kStorIndex] = db_->engine(kStorIndex)->CurrentLsn();
+      target[kMemIndex] = db_->engine(kMemIndex)->Log()->CurrentLsn();
+      target[kStorIndex] = db_->engine(kStorIndex)->Log()->CurrentLsn();
       csr_target = journal_->size();
       wm.mem_horizon = mem_h;
       wm.stor_horizon = stor_h;
@@ -232,8 +225,9 @@ void Shipper::Serve(int fd) {
       // Nothing shipped: park until a durable advance / journal append
       // bumps the eventcount. The backstop bounds how long a dead peer
       // can go unnoticed (TryRecv above is the only close detector).
-      ParkingLot::ParkFor(progress_seq_, seen,
-                          uint64_t{options_.idle_backstop_us} * 1000);
+      ParkingLot::ParkFor(
+          progress_seq_, seen,
+          std::chrono::nanoseconds(kIdleBackstop).count());
     }
   }
 

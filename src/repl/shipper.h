@@ -24,6 +24,7 @@
 // waits for the engines' own group commit to advance durability.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <thread>
@@ -92,16 +93,17 @@ class CsrInstallJournal {
 
 class Shipper {
  public:
+  /// Soft bound on REPL_LOG payload bytes per frame (one oversized record
+  /// still ships alone; the hard bound is kMaxFrameLen).
+  static constexpr size_t kMaxBatchBytes = 64 * 1024;
+  /// Backstop park timeout when no durable-advance / journal-append wake
+  /// arrives. The eventcount provides the fast path; this bounds dead-peer
+  /// detection latency (the serve loop's TryRecv is the only thing that
+  /// notices a closed replica).
+  static constexpr std::chrono::milliseconds kIdleBackstop{50};
+
   struct Options {
     uint16_t port = 0;  // 0 = kernel-assigned; read back via port()
-    /// Soft bound on REPL_LOG payload bytes per frame (one oversized
-    /// record still ships alone; the hard bound is kMaxFrameLen).
-    size_t max_batch_bytes = 64 * 1024;
-    /// Backstop park timeout when no durable-advance / journal-append wake
-    /// arrives. The eventcount provides the fast path; this bounds
-    /// dead-peer detection latency (the serve loop's TryRecv is the only
-    /// thing that notices a closed replica).
-    uint32_t idle_backstop_us = 50 * 1000;
   };
 
   Shipper(Database* db, CsrInstallJournal* journal, Options options);

@@ -6,7 +6,7 @@
 namespace skeena::stordb {
 
 LockManager::LockManager(Options options)
-    : options_(options), buckets_(options.num_buckets) {}
+    : options_(options), buckets_(kNumBuckets) {}
 
 bool LockManager::CanGrant(const LockQueue& q, uint64_t txn_id, LockMode mode,
                            bool is_upgrade) {

@@ -26,11 +26,13 @@ enum class LockMode : uint8_t { kShared = 0, kExclusive = 1 };
 /// it holds record locks on NEW_ORDER rows (Section 6.9).
 class LockManager {
  public:
+  /// Lock-table hash buckets (one mutex each).
+  static constexpr size_t kNumBuckets = 256;
+
   struct Options {
     /// Waiting longer than this aborts the requester (InnoDB's
     /// innodb_lock_wait_timeout, scaled down for benchmarks).
     uint64_t wait_timeout_ms = 1000;
-    size_t num_buckets = 256;
   };
 
   LockManager() : LockManager(Options()) {}

@@ -12,15 +12,14 @@ namespace skeena::stordb {
 StorEngine::StorEngine(std::unique_ptr<StorageDevice> log_device,
                        Options options, EpochManager* epoch)
     : options_(options), locks_(options.lock) {
+  assert(log_device != nullptr);
   if (epoch == nullptr) {
     owned_epoch_ = std::make_unique<EpochManager>();
     epoch_ = owned_epoch_.get();
   } else {
     epoch_ = epoch;
   }
-  if (options_.enable_logging) {
-    log_ = std::make_unique<LogManager>(std::move(log_device), options_.log);
-  }
+  log_ = std::make_unique<LogManager>(std::move(log_device), options_.log);
   if (!options_.device_factory) {
     DeviceLatency latency = options_.data_latency;
     options_.device_factory = [latency](const std::string&) {
@@ -414,7 +413,7 @@ Status StorEngine::PreCommit(StorTxn* txn) {
 Lsn StorEngine::PostCommit(StorTxn* txn, GlobalTxnId gtid, bool cross_engine) {
   assert(txn->state_ == StorTxn::State::kPreCommitted);
 
-  if (log_ != nullptr && !txn->read_only()) {
+  if (!txn->read_only()) {
     LogRecord rec;
     for (const RedoEntry& r : txn->redo_) {
       rec.type = LogRecordType::kData;
@@ -428,12 +427,10 @@ Lsn StorEngine::PostCommit(StorTxn* txn, GlobalTxnId gtid, bool cross_engine) {
       log_->Append(std::span<const uint8_t>(
           reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
     }
-  }
-  if (!txn->read_only()) {
     trx_sys_.MarkCommitted(txn->tid_);
   }
   Lsn lsn = 0;
-  if (log_ != nullptr && (!txn->read_only() || cross_engine)) {
+  if (!txn->read_only() || cross_engine) {
     LogRecord rec;
     rec.type =
         cross_engine ? LogRecordType::kCommitEnd : LogRecordType::kCommit;
@@ -640,8 +637,6 @@ Status StorEngine::RecoveryApply(StorTable* t, const Key& key,
 }
 
 Status StorEngine::Recover(const std::set<GlobalTxnId>& excluded) {
-  if (log_ == nullptr) return Status::OK();
-
   struct TxnBuf {
     std::vector<LogRecord> data;
     bool committed = false;

@@ -57,7 +57,6 @@ class StorEngine {
     size_t buffer_pool_pages = 2048;
     size_t pool_shards = 8;
     LogManager::Options log;
-    bool enable_logging = true;
     /// Latency injected by the default (in-memory) table-space devices;
     /// DeviceLatency::Ssd() models the paper's SSD runs (Section 6.7).
     DeviceLatency data_latency = DeviceLatency::Tmpfs();
@@ -66,7 +65,6 @@ class StorEngine {
     LockManager::Options lock;
     /// Purge states/undo every N commits.
     uint64_t purge_interval = 512;
-    size_t max_concurrent_txns = 4096;
   };
 
   /// `epoch` is the reclamation domain retired undo batches are freed

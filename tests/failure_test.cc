@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/adapters.h"
 #include "core/commit_pipeline.h"
 #include "log/log_manager.h"
 #include "log/storage_device.h"
@@ -192,23 +191,19 @@ TEST(FailureTest, CommitterLedFlushBacksOffWhileDeviceFails) {
   EXPECT_GE(log.DurableLsn(), log.CurrentLsn());
 }
 
-TEST(FailureTest, SyncCommitNotAckedWhileLogFlushFails) {
-  // kSync flushes on the committing thread. A failed flush must not ack
-  // the commit past the durable LSN: the commit waits until the log's
-  // flusher retries land after the device heals.
+TEST(FailureTest, CommitNotAckedWhileLogFlushFails) {
+  // A failed flush, led by the committer or the log's flusher, must not
+  // ack the commit past the durable LSN: the commit waits until a retry
+  // lands after the device heals.
   auto flaky = std::make_unique<FlakyDevice>();
   FlakyDevice* dev = flaky.get();
   dev->fail_writes.store(true);
-  MemEngineAdapter mem(std::move(flaky), memdb::MemEngine::Options{});
-  StorEngineAdapter stor(std::make_unique<MemDevice>(),
-                         stordb::StorEngine::Options{});
-  CommitPipeline::Options opts;
-  opts.mode = CommitPipeline::Mode::kSync;
-  CommitPipeline pipeline(opts, &mem, &stor);
+  LogManager mem(std::move(flaky));
+  LogManager stor(std::make_unique<MemDevice>());
+  CommitPipeline pipeline(&mem, &stor);
 
   uint8_t payload[16] = {};
-  Lsn lsns[2] = {mem.engine()->log()->Append(payload),
-                 stor.engine()->log()->Append(payload)};
+  Lsn lsns[2] = {mem.Append(payload), stor.Append(payload)};
   std::atomic<bool> done{false};
   std::thread committer([&] {
     pipeline.WaitDurable(lsns);
@@ -219,7 +214,7 @@ TEST(FailureTest, SyncCommitNotAckedWhileLogFlushFails) {
   EXPECT_LT(mem.DurableLsn(), lsns[0]);
 
   dev->fail_writes.store(false);
-  committer.join();  // the flusher's next retry releases it
+  committer.join();  // the next retry releases it
   EXPECT_TRUE(done.load());
   EXPECT_GE(mem.DurableLsn(), lsns[0]);
   EXPECT_GE(stor.DurableLsn(), lsns[1]);

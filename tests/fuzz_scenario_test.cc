@@ -350,8 +350,8 @@ SiReport RunCrashScenario(uint64_t seed) {
         } else {
           stor->Abort(t_stor.get());
         }
-        mem->FlushLog();
-        stor->FlushLog();
+        mem->Log()->Flush();
+        stor->Log()->Flush();
         w.outcome = TxnHistory::Outcome::kUnacked;
         w.commit[0] = ca;
         w.commit[1] = co;
@@ -528,8 +528,8 @@ SiReport RunReplicationChaosScenario(uint64_t seed) {
 
   // Quiesced: the replica must reach the primary's exact stream positions
   // through however many resumed sessions the chaos forced.
-  Lsn mem_lsn = primary.engine(EngineKind::kMem)->CurrentLsn();
-  Lsn stor_lsn = primary.engine(EngineKind::kStor)->CurrentLsn();
+  Lsn mem_lsn = primary.engine(EngineKind::kMem)->Log()->CurrentLsn();
+  Lsn stor_lsn = primary.engine(EngineKind::kStor)->Log()->CurrentLsn();
   bool caught_up = replica.WaitCaughtUp(mem_lsn, stor_lsn, journal.size(),
                                         std::chrono::milliseconds(15'000));
   readers_stop.store(true, std::memory_order_release);

@@ -605,6 +605,28 @@ TEST(SegmentedDeviceTest, TruncateDropsLaterSegmentsAndRezerosTail) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(SegmentedDeviceTest, TruncateReportsFailedUnlink) {
+  // A later segment that survives a truncate rejoins the log on reopen,
+  // so a failed unlink must not read as success. A directory in segment
+  // 1's place makes unlink fail with EISDIR.
+  std::string dir = FreshDir("skeena_seg_trunc_unlink");
+  SegmentedLogDevice::Options o;
+  o.segment_bytes = 8 * 1024;
+  auto opened = SegmentedLogDevice::Open(dir, o);
+  ASSERT_TRUE(opened.ok());
+  auto dev = std::move(opened.value());
+  ASSERT_TRUE(dev->WriteAt(0, Bytes(std::string(20000, 'a'))).ok());
+  ASSERT_GE(dev->segment_count(), 2u);
+
+  const std::string seg1 = dir + "/wal.00000001.seg";
+  ASSERT_TRUE(std::filesystem::remove(seg1));
+  ASSERT_TRUE(std::filesystem::create_directory(seg1));
+  EXPECT_FALSE(dev->Truncate(4096 + 50).ok())
+      << "truncate acked while a dropped segment is still on disk";
+  dev.reset();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(SegmentedDeviceTest, DurableWaitsAcrossSegmentsRoundTrip) {
   // Many small flush batches, each waited durable, walk the log across
   // several 8 KiB segments, so some batches' pwrites straddle an edge and
@@ -687,6 +709,41 @@ TEST(LogRecordTest, EmptyValueAllowed) {
   EXPECT_EQ(out.type, LogRecordType::kCommitEnd);
   EXPECT_TRUE(out.value.empty());
 }
+
+// A MemDevice whose Truncate returns a chosen status.
+class TruncateResultDevice : public MemDevice {
+ public:
+  explicit TruncateResultDevice(Status result) : result_(std::move(result)) {}
+  Status Truncate(uint64_t) override { return result_; }
+
+ private:
+  Status result_;
+};
+
+// One whole frame followed by bytes that do not decode as a frame.
+std::unique_ptr<StorageDevice> TornTail(Status truncate_result) {
+  auto dev = std::make_unique<TruncateResultDevice>(std::move(truncate_result));
+  uint64_t off = 0;
+  EXPECT_TRUE(dev->Append(Bytes(Frame("whole") + "garbage tail"), &off).ok());
+  return dev;
+}
+
+TEST(LogManagerTest, TailTruncateNotSupportedIsTolerated) {
+  // A device that cannot truncate keeps the stale tail; the log resumes at
+  // the last whole frame and overwrites it in place.
+  LogManager log(TornTail(Status::NotSupported("no truncate")));
+  EXPECT_EQ(log.CurrentLsn(), Frame("whole").size());
+}
+
+#ifdef GTEST_HAS_DEATH_TEST
+TEST(LogManagerDeathTest, FailedTailTruncateFailsStop) {
+  // A torn tail the device failed to cut would be read back as log after
+  // the next restart: the log must not start on it.
+  EXPECT_DEATH(
+      { LogManager log(TornTail(Status::IOError("injected"))); },
+      "cannot truncate torn tail");
+}
+#endif  // GTEST_HAS_DEATH_TEST
 
 }  // namespace
 }  // namespace skeena

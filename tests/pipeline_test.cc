@@ -3,48 +3,42 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <thread>
+#include <vector>
 
-#include "core/adapters.h"
+#include "log/log_manager.h"
 #include "log/storage_device.h"
 
 namespace skeena {
 namespace {
 
-// Pipeline tests drive two real engine adapters with slow logs so the
-// durability gating is observable.
+// Pipeline tests drive two real logs on in-memory devices.
 class PipelineTest : public ::testing::Test {
  protected:
   // auto_flush == false disables the background flusher entirely:
-  // durability only advances on explicit FlushLog(), making the gating
+  // durability only advances on explicit Flush(), making the gating
   // observable.
-  std::unique_ptr<MemEngineAdapter> MakeMem(bool auto_flush) {
-    memdb::MemEngine::Options opts;
-    opts.log.auto_flush = auto_flush;
-    return std::make_unique<MemEngineAdapter>(std::make_unique<MemDevice>(),
-                                              opts);
-  }
-  std::unique_ptr<StorEngineAdapter> MakeStor(bool auto_flush) {
-    stordb::StorEngine::Options opts;
-    opts.log.auto_flush = auto_flush;
-    return std::make_unique<StorEngineAdapter>(std::make_unique<MemDevice>(),
-                                               opts);
+  static std::unique_ptr<LogManager> MakeLog(bool auto_flush) {
+    LogManager::Options opts;
+    opts.auto_flush = auto_flush;
+    return std::make_unique<LogManager>(std::make_unique<MemDevice>(), opts);
   }
 };
 
 TEST_F(PipelineTest, CompletesOnlyWhenBothLogsDurable) {
-  auto mem = MakeMem(false);  // manual flush only
-  auto stor = MakeStor(false);
-  CommitPipeline::Options opts;
-  CommitPipeline pipeline(opts, mem.get(), stor.get());
+  auto log0 = MakeLog(false);  // manual flush only
+  auto log1 = MakeLog(false);
+  CommitPipeline pipeline(log0.get(), log1.get());
 
   // Append a record to each log; the commit needs both durable.
   uint8_t payload[16] = {};
-  Lsn mem_lsn = mem->engine()->log()->Append(payload);
-  Lsn stor_lsn = stor->engine()->log()->Append(payload);
+  Lsn lsn0 = log0->Append(payload);
+  Lsn lsn1 = log1->Append(payload);
 
   std::atomic<bool> done{false};
-  Lsn lsns[2] = {mem_lsn, stor_lsn};
+  Lsn lsns[2] = {lsn0, lsn1};
   std::thread committer([&] {
     pipeline.WaitDurable(lsns);
     done.store(true);
@@ -53,102 +47,77 @@ TEST_F(PipelineTest, CompletesOnlyWhenBothLogsDurable) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(done.load()) << "neither log flushed yet";
 
-  ASSERT_TRUE(mem->FlushLog().ok());
+  ASSERT_TRUE(log0->Flush().ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(done.load()) << "one log durable is not enough";
 
-  ASSERT_TRUE(stor->FlushLog().ok());
+  ASSERT_TRUE(log1->Flush().ok());
   committer.join();
   EXPECT_TRUE(done.load());
   EXPECT_EQ(pipeline.completed(), 1u);
 }
 
 TEST_F(PipelineTest, ZeroLsnMeansNothingToWaitFor) {
-  auto mem = MakeMem(false);
-  auto stor = MakeStor(false);
-  CommitPipeline pipeline(CommitPipeline::Options{}, mem.get(), stor.get());
+  auto log0 = MakeLog(false);
+  auto log1 = MakeLog(false);
+  CommitPipeline pipeline(log0.get(), log1.get());
   Lsn lsns[2] = {0, 0};
   pipeline.WaitDurable(lsns);  // returns immediately
   EXPECT_EQ(pipeline.completed(), 1u);
 }
 
-TEST_F(PipelineTest, SyncModeFlushesInline) {
-  auto mem = MakeMem(false);
-  auto stor = MakeStor(false);
-  CommitPipeline::Options opts;
-  opts.mode = CommitPipeline::Mode::kSync;
-  CommitPipeline pipeline(opts, mem.get(), stor.get());
-
-  uint8_t payload[8] = {};
-  Lsn lsns[2] = {mem->engine()->log()->Append(payload),
-                 stor->engine()->log()->Append(payload)};
-  pipeline.WaitDurable(lsns);
-  EXPECT_GE(mem->DurableLsn(), lsns[0]);
-  EXPECT_GE(stor->DurableLsn(), lsns[1]);
-}
-
 // Stress: many committing threads race the logs' durable-LSN advances.
 // Every WaitDurable must return (no lost wakeup — a hang is caught by the
-// suite timeout) with both logs covering it, in both pipelined and sync
-// modes.
+// suite timeout) with both logs covering it.
 TEST_F(PipelineTest, StressManyWaitersAgainstDurableAdvances) {
-  for (CommitPipeline::Mode mode :
-       {CommitPipeline::Mode::kPipelined, CommitPipeline::Mode::kSync}) {
-    auto mem = MakeMem(true);
-    auto stor = MakeStor(true);
-    CommitPipeline::Options opts;
-    opts.mode = mode;
-    CommitPipeline pipeline(opts, mem.get(), stor.get());
+  auto log0 = MakeLog(true);
+  auto log1 = MakeLog(true);
+  CommitPipeline pipeline(log0.get(), log1.get());
 
-    constexpr int kThreads = 16;
-    constexpr int kTxnsEach = 150;
-    constexpr uint64_t kTotal = kThreads * kTxnsEach;
-    std::atomic<uint64_t> done{0};
-    std::vector<std::thread> workers;
-    for (int t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&] {
-        uint8_t payload[8] = {};
-        for (int i = 0; i < kTxnsEach; ++i) {
-          Lsn lsns[2] = {mem->engine()->log()->Append(payload),
-                         stor->engine()->log()->Append(payload)};
-          pipeline.WaitDurable(lsns);
-          EXPECT_GE(mem->DurableLsn(), lsns[0]);
-          EXPECT_GE(stor->DurableLsn(), lsns[1]);
-          done.fetch_add(1);
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    EXPECT_EQ(done.load(), kTotal);
+  constexpr int kThreads = 16;
+  constexpr int kTxnsEach = 150;
+  constexpr uint64_t kTotal = kThreads * kTxnsEach;
+  std::atomic<uint64_t> done{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&] {
+      uint8_t payload[8] = {};
+      for (int i = 0; i < kTxnsEach; ++i) {
+        Lsn lsns[2] = {log0->Append(payload), log1->Append(payload)};
+        pipeline.WaitDurable(lsns);
+        EXPECT_GE(log0->DurableLsn(), lsns[0]);
+        EXPECT_GE(log1->DurableLsn(), lsns[1]);
+        done.fetch_add(1);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(done.load(), kTotal);
 
-    CommitPipeline::Stats s = pipeline.stats();
-    EXPECT_EQ(s.completed, kTotal);
-    EXPECT_EQ(s.completed, s.waiter_spin_successes + s.waiter_parks)
-        << "every wait resolves by spinning or parking exactly once";
+  CommitPipeline::Stats s = pipeline.stats();
+  EXPECT_EQ(s.completed, kTotal);
+  EXPECT_EQ(s.completed, s.waiter_spin_successes + s.waiter_parks)
+      << "every wait resolves by spinning or parking exactly once";
 
 #if defined(__linux__)
-    if (mode == CommitPipeline::Mode::kPipelined) {
-      // The point of batching: each log releases every waiter a durable
-      // advance covers with at most one unpark, so its kernel wakes come in
-      // strictly under one per commit.
-      EXPECT_LT(mem->engine()->log()->stats().durable_wakes, kTotal);
-      EXPECT_LT(stor->engine()->log()->stats().durable_wakes, kTotal);
-    }
+  // The point of batching: each log releases every waiter a durable
+  // advance covers with at most one unpark, so its kernel wakes come in
+  // strictly under one per commit.
+  EXPECT_LT(log0->stats().durable_wakes, kTotal);
+  EXPECT_LT(log1->stats().durable_wakes, kTotal);
 #endif
-  }
 }
 
 TEST_F(PipelineTest, StatsAccountSpinAndParkOutcomes) {
-  auto mem = MakeMem(false);  // manual flush: waits must park
-  auto stor = MakeStor(false);
-  CommitPipeline pipeline(CommitPipeline::Options{}, mem.get(), stor.get());
+  auto log0 = MakeLog(false);  // manual flush: waits must park
+  auto log1 = MakeLog(false);
+  CommitPipeline pipeline(log0.get(), log1.get());
   uint8_t payload[8] = {};
-  Lsn lsns[2] = {mem->engine()->log()->Append(payload),
-                 stor->engine()->log()->Append(payload)};
+  Lsn lsns[2] = {log0->Append(payload), log1->Append(payload)};
   std::thread flusher([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    ASSERT_TRUE(mem->FlushLog().ok());
-    ASSERT_TRUE(stor->FlushLog().ok());
+    ASSERT_TRUE(log0->Flush().ok());
+    ASSERT_TRUE(log1->Flush().ok());
   });
   pipeline.WaitDurable(lsns);
   flusher.join();
@@ -161,24 +130,20 @@ TEST_F(PipelineTest, StatsAccountSpinAndParkOutcomes) {
   EXPECT_EQ(s.waiter_parks + s.waiter_spin_successes, 1u);
   if (s.waiter_parks == 1) {
     // A parked committer is released by a log's durable-advance unpark.
-    EXPECT_GE(mem->engine()->log()->stats().durable_wakes +
-                  stor->engine()->log()->stats().durable_wakes,
-              1u);
+    EXPECT_GE(log0->stats().durable_wakes + log1->stats().durable_wakes, 1u);
   }
 }
 
 TEST_F(PipelineTest, AlreadyDurableEntriesCompleteInlineWithoutWakeups) {
-  auto mem = MakeMem(false);
-  auto stor = MakeStor(false);
-  CommitPipeline pipeline(CommitPipeline::Options{}, mem.get(), stor.get());
+  auto log0 = MakeLog(false);
+  auto log1 = MakeLog(false);
+  CommitPipeline pipeline(log0.get(), log1.get());
   uint8_t payload[8] = {};
-  Lsn lsns[2] = {mem->engine()->log()->Append(payload),
-                 stor->engine()->log()->Append(payload)};
-  ASSERT_TRUE(mem->FlushLog().ok());
-  ASSERT_TRUE(stor->FlushLog().ok());
+  Lsn lsns[2] = {log0->Append(payload), log1->Append(payload)};
+  ASSERT_TRUE(log0->Flush().ok());
+  ASSERT_TRUE(log1->Flush().ok());
   auto log_wakes = [&] {
-    return mem->engine()->log()->stats().durable_wakes +
-           stor->engine()->log()->stats().durable_wakes;
+    return log0->stats().durable_wakes + log1->stats().durable_wakes;
   };
   const uint64_t wakes_before = log_wakes();
   pipeline.WaitDurable(lsns);
@@ -194,13 +159,11 @@ TEST_F(PipelineTest, AlreadyDurableEntriesCompleteInlineWithoutWakeups) {
 // background flusher must still return when the pipeline is destroyed
 // (each sweep round flushes both logs until no waiter is inside).
 TEST_F(PipelineTest, DestructorReleasesParkedWaiter) {
-  auto mem = MakeMem(false);
-  auto stor = MakeStor(false);
-  auto pipeline = std::make_unique<CommitPipeline>(CommitPipeline::Options{},
-                                                   mem.get(), stor.get());
+  auto log0 = MakeLog(false);
+  auto log1 = MakeLog(false);
+  auto pipeline = std::make_unique<CommitPipeline>(log0.get(), log1.get());
   uint8_t payload[8] = {};
-  Lsn lsns[2] = {mem->engine()->log()->Append(payload),
-                 stor->engine()->log()->Append(payload)};
+  Lsn lsns[2] = {log0->Append(payload), log1->Append(payload)};
   std::atomic<bool> entered{false};
   std::atomic<bool> done{false};
   CommitPipeline* raw = pipeline.get();  // reset() below rewrites the owner
@@ -216,8 +179,8 @@ TEST_F(PipelineTest, DestructorReleasesParkedWaiter) {
   pipeline.reset();  // returns only once the waiter has left WaitDurable
   committer.join();   // a waiter the sweep missed hangs here
   EXPECT_TRUE(done.load());
-  EXPECT_GE(mem->DurableLsn(), lsns[0]);
-  EXPECT_GE(stor->DurableLsn(), lsns[1]);
+  EXPECT_GE(log0->DurableLsn(), lsns[0]);
+  EXPECT_GE(log1->DurableLsn(), lsns[1]);
 }
 
 }  // namespace

@@ -34,9 +34,8 @@ int TortureMillis() { return test::FullSweep() ? 2000 : 300; }
 
 TEST(MemReclaimTortureTest, PinnedReaderNeverObservesFreedVersions) {
   MemEngine::Options opts;
-  opts.enable_logging = false;
   opts.gc_interval = 4;  // advance the floor aggressively
-  MemEngine engine(nullptr, opts);
+  MemEngine engine(std::make_unique<MemDevice>(), opts);
   TableId t = engine.CreateTable("torture");
 
   std::atomic<uint64_t> gtid{1};
@@ -127,9 +126,8 @@ TEST(MemReclaimTortureTest, PinnedReaderNeverObservesFreedVersions) {
 
 TEST(StorReclaimTortureTest, PinnedViewNeverObservesFreedUndos) {
   StorEngine::Options opts;
-  opts.enable_logging = false;
   opts.purge_interval = 4;  // purge aggressively
-  StorEngine engine(nullptr, opts);
+  StorEngine engine(std::make_unique<MemDevice>(), opts);
   TableId t = engine.CreateTable("torture", 64);
 
   std::atomic<uint64_t> gtid{1};
@@ -229,9 +227,8 @@ TEST(StorReclaimTortureTest, UndoAllocationsDrainToZero) {
   ASSERT_EQ(stordb::UndoRecord::LiveCount(), 0u);
   {
     StorEngine::Options opts;
-    opts.enable_logging = false;
-    opts.purge_interval = 16;  // let a pending backlog build up
-    StorEngine engine(nullptr, opts);
+      opts.purge_interval = 16;  // let a pending backlog build up
+    StorEngine engine(std::make_unique<MemDevice>(), opts);
     TableId t = engine.CreateTable("drain", 64);
 
     uint64_t gtid = 1;

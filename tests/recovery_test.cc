@@ -126,8 +126,8 @@ TEST_F(RecoveryTest, PartiallyCommittedCrossTxnRolledBack) {
     ASSERT_TRUE(stor->PreCommit(t_stor.get(), &cts).ok());
     // Post-commit ONLY the mem side; "crash" before the stor side.
     mem->PostCommit(t_mem.get(), gtid, true);
-    mem->FlushLog();
-    stor->FlushLog();
+    mem->Log()->Flush();
+    stor->Log()->Flush();
     // The stor sub-transaction is intentionally leaked as "in flight";
     // roll it back so the Database destructor is clean, but its commit-end
     // never reaches the log.
@@ -172,7 +172,7 @@ TEST_F(RecoveryTest, SingleEngineTxnsUnaffectedByCrossRollback) {
     Timestamp cts;
     ASSERT_TRUE(mem->PreCommit(t_mem.get(), &cts).ok());
     mem->PostCommit(t_mem.get(), gtid, true);  // cross, but stor never logs
-    mem->FlushLog();
+    mem->Log()->Flush();
   }
   {
     Database db(FileOptions());

@@ -111,8 +111,8 @@ struct ReplPair {
   /// Call with primary writers quiesced: samples the primary stream
   /// targets and blocks until the replica received AND applied them.
   bool CatchUp(std::chrono::milliseconds timeout = kCatchUpTimeout) {
-    Lsn mem_lsn = primary->engine(EngineKind::kMem)->CurrentLsn();
-    Lsn stor_lsn = primary->engine(EngineKind::kStor)->CurrentLsn();
+    Lsn mem_lsn = primary->engine(EngineKind::kMem)->Log()->CurrentLsn();
+    Lsn stor_lsn = primary->engine(EngineKind::kStor)->Log()->CurrentLsn();
     return replica->WaitCaughtUp(mem_lsn, stor_lsn, journal.size(), timeout);
   }
 
@@ -400,7 +400,7 @@ TEST(ReplTornTail, ShipperNeverPassesDurableWatermark) {
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   Lsn durable[kNumEngines];
   for (int e = 0; e < kNumEngines; ++e) {
-    durable[e] = rp.primary->engine(e)->DurableLsn();
+    durable[e] = rp.primary->engine(e)->Log()->DurableLsn();
   }
 
   // Writers append a non-durable tail; their commits block on the
@@ -421,7 +421,7 @@ TEST(ReplTornTail, ShipperNeverPassesDurableWatermark) {
   }
   // Let the appends land: the log tail is now past the durable mark.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  ASSERT_GT(rp.primary->engine(0)->CurrentLsn(), durable[0]);
+  ASSERT_GT(rp.primary->engine(0)->Log()->CurrentLsn(), durable[0]);
 
   // The torn-tail rule, observed from outside: over a sustained window the
   // replica never receives (let alone applies) a byte past the frozen
