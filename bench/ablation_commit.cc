@@ -102,15 +102,15 @@ void Run() {
     Database* db = wl->db();
     CommitPipeline::Stats before = db->pipeline().stats();
     uint64_t wakes_before = CommitWakes(db);
-    uint64_t flushes_before = db->mem()->engine()->log()->flush_batches() +
-                              db->stor()->engine()->log()->flush_batches();
+    uint64_t flushes_before = db->mem()->engine()->log()->stats().flushes +
+                              db->stor()->engine()->log()->stats().flushes;
     RunResult r = RunWorkload(log_conns, scale.duration_ms,
                               [wl](int t, Rng& rng, uint64_t* q) {
                                 return wl->RunOneTxn(t, rng, q);
                               });
     CommitPipeline::Stats after = db->pipeline().stats();
-    uint64_t flushes = db->mem()->engine()->log()->flush_batches() +
-                       db->stor()->engine()->log()->flush_batches() -
+    uint64_t flushes = db->mem()->engine()->log()->stats().flushes +
+                       db->stor()->engine()->log()->stats().flushes -
                        flushes_before;
     uint64_t done = after.completed - before.completed;
     uint64_t wakes = CommitWakes(db) - wakes_before;

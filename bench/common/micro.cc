@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <thread>
 
@@ -57,9 +59,15 @@ MicroWorkload::MicroWorkload(const MicroConfig& config, bool skeena_on,
             const std::string& name) -> std::unique_ptr<StorageDevice> {
       SegmentedLogDevice::Options seg;
       seg.latency = latency;
-      auto dev = SegmentedLogDevice::Open(dir + "/" + name, seg);
-      if (dev.ok()) return std::move(dev.value());
-      return std::make_unique<MemDevice>(latency);
+      const std::string path = dir + "/" + name;
+      auto dev = SegmentedLogDevice::Open(path, seg);
+      if (!dev.ok()) {
+        // An on-disk row must not silently measure an in-memory log.
+        std::fprintf(stderr, "MicroWorkload: cannot open %s: %s\n",
+                     path.c_str(), dev.status().ToString().c_str());
+        std::abort();
+      }
+      return std::move(dev.value());
     };
   }
   size_t needed = StorPagesNeeded(config);

@@ -92,10 +92,6 @@ void MemEngineAdapter::Abort(SubTxn* sub) { engine_.Abort(AsMem(sub)); }
 
 LogManager* MemEngineAdapter::Log() { return engine_.log(); }
 
-Status MemEngineAdapter::Recover(const std::set<GlobalTxnId>& excluded) {
-  return engine_.Recover(excluded);
-}
-
 // --------------------------------------------------------- StorEngineAdapter
 
 StorEngineAdapter::StorEngineAdapter(
@@ -163,9 +159,5 @@ Lsn StorEngineAdapter::PostCommit(SubTxn* sub, GlobalTxnId gtid,
 void StorEngineAdapter::Abort(SubTxn* sub) { engine_.Abort(AsStor(sub)); }
 
 LogManager* StorEngineAdapter::Log() { return engine_.log(); }
-
-Status StorEngineAdapter::Recover(const std::set<GlobalTxnId>& excluded) {
-  return engine_.Recover(excluded);
-}
 
 }  // namespace skeena

@@ -2,7 +2,6 @@
 #define SKEENA_CORE_ADAPTERS_H_
 
 #include <memory>
-#include <set>
 #include <string>
 
 #include "common/epoch.h"
@@ -49,8 +48,6 @@ class MemEngineAdapter : public EngineIface {
 
   LogManager* Log() override;
 
-  Status Recover(const std::set<GlobalTxnId>& excluded) override;
-
   memdb::MemEngine* engine() { return &engine_; }
 
  private:
@@ -93,8 +90,6 @@ class StorEngineAdapter : public EngineIface {
   void Abort(SubTxn* sub) override;
 
   LogManager* Log() override;
-
-  Status Recover(const std::set<GlobalTxnId>& excluded) override;
 
   stordb::StorEngine* engine() { return &engine_; }
 

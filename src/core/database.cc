@@ -1,13 +1,16 @@
 #include "core/database.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <sstream>
 
 #include "core/transaction.h"
-#include "log/log_records.h"
+#include "log/redo.h"
 #include "log/segmented_device.h"
 
 namespace skeena {
@@ -233,37 +236,28 @@ Status Database::Recover() {
   // is durably committed only if its commit-end made it to *both* logs;
   // everything else is rolled back (its results were never released to
   // clients — they were still waiting on durability). Paper Section 4.6.
-  // A transaction with no commit-end in an engine's log is not committed
-  // there anyway, so commit-begin records (no longer written; older logs
-  // may hold them) decide nothing.
-  std::set<GlobalTxnId> cross_seen;
-  std::set<GlobalTxnId> end_in[kNumEngines];
+  LogCensus census[kNumEngines];
   for (int e = 0; e < kNumEngines; ++e) {
-    LogReader reader(engines_[e]->Log()->device());
-    std::string raw;
-    while (reader.Next(&raw)) {
-      LogRecord rec;
-      if (!LogRecord::Decode(raw, &rec)) break;  // torn tail
-      if (rec.type == LogRecordType::kCommitEnd) {
-        cross_seen.insert(rec.gtid);
-        end_in[e].insert(rec.gtid);
-      }
-      // relaxed-ok: single-threaded recovery; no concurrent Begin yet.
-      next_gtid_.store(
-          std::max(next_gtid_.load(std::memory_order_relaxed), rec.gtid + 1),
-          std::memory_order_relaxed);
-    }
+    SKEENA_RETURN_NOT_OK(TakeCensus(engines_[e]->Log()->device(), &census[e]));
+    // relaxed-ok: single-threaded recovery; no concurrent Begin yet.
+    next_gtid_.store(std::max(next_gtid_.load(std::memory_order_relaxed),
+                              census[e].max_gtid + 1),
+                     std::memory_order_relaxed);
   }
-  std::set<GlobalTxnId> excluded;
-  for (GlobalTxnId gtid : cross_seen) {
-    if (end_in[0].count(gtid) == 0 || end_in[1].count(gtid) == 0) {
-      excluded.insert(gtid);
-    }
-  }
-  for (int e = 0; e < kNumEngines; ++e) {
-    SKEENA_RETURN_NOT_OK(engines_[e]->Recover(excluded));
-  }
-  return Status::OK();
+  std::set<GlobalTxnId> torn;
+  std::set_symmetric_difference(
+      census[0].commit_ends.begin(), census[0].commit_ends.end(),
+      census[1].commit_ends.begin(), census[1].commit_ends.end(),
+      std::inserter(torn, torn.end()));
+  // One engine's committed groups in memory at a time.
+  std::vector<CommittedGroup> groups;
+  SKEENA_RETURN_NOT_OK(
+      ReadCommittedGroups(mem_->Log()->device(), torn, &groups));
+  SKEENA_RETURN_NOT_OK(mem_->engine()->ApplyRecovered(groups));
+  groups = {};
+  SKEENA_RETURN_NOT_OK(
+      ReadCommittedGroups(stor_->Log()->device(), torn, &groups));
+  return stor_->engine()->ApplyRecovered(groups);
 }
 
 Database::Stats Database::stats() {

@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 
 #include "common/encoding.h"
@@ -82,9 +81,6 @@ class EngineIface {
   /// pipeline waits on its durable LSN, recovery pairs commit records
   /// across its device, and the replication shipper streams it.
   virtual LogManager* Log() = 0;
-
-  // ----------------------------------------------------------- recovery
-  virtual Status Recover(const std::set<GlobalTxnId>& excluded_gtids) = 0;
 };
 
 }  // namespace skeena

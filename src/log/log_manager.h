@@ -188,12 +188,6 @@ class LogManager {
   /// nullptr only once flushes are quiesced.
   void SetDurableObserver(std::function<void(Lsn)> observer);
 
-  /// Number of flush batches issued (group-commit effectiveness metric).
-  uint64_t flush_batches() const {
-    // relaxed-ok: monotone diagnostic counter.
-    return flushes_.load(std::memory_order_relaxed);
-  }
-
   Stats stats() const;
 
  private:

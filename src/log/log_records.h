@@ -17,13 +17,29 @@ namespace skeena {
 /// pairs them by global transaction id across both logs and rolls back any
 /// cross-engine transaction that is missing a kCommitEnd in either log.
 /// The paper's commit-begin marker decided nothing at recovery and was
-/// dropped; its type stays reserved and decodes as a no-op.
+/// dropped; its type stays reserved and decodes as a no-op (log/redo.h).
 enum class LogRecordType : uint8_t {
   kData = 1,         // one row image (insert/update/tombstone)
   kCommit = 2,       // single-engine transaction commit
   kCommitBegin = 3,  // legacy cross-engine pre-commit marker; never written
   kCommitEnd = 4,    // cross-engine: sub-transaction post-committed
 };
+
+/// Appends one record's encoding to *out from its fields (LogRecord::Encode
+/// without building a LogRecord; the redo writer's path).
+inline void EncodeLogRecord(std::string* out, LogRecordType type,
+                            GlobalTxnId gtid, Timestamp cts, TableId table,
+                            bool tombstone, const Key& key,
+                            std::string_view value) {
+  out->push_back(static_cast<char>(type));
+  PutU64(out, gtid);
+  PutU64(out, cts);
+  PutU32(out, table);
+  out->push_back(tombstone ? 1 : 0);
+  out->append(reinterpret_cast<const char*>(key.data()), key.size());
+  PutU32(out, static_cast<uint32_t>(value.size()));
+  out->append(value);
+}
 
 /// A decoded log record. Data records carry the full after-image of the row
 /// (both engines recover by replaying committed transactions' images in
@@ -39,14 +55,7 @@ struct LogRecord {
 
   std::string Encode() const {
     std::string out;
-    out.push_back(static_cast<char>(type));
-    PutU64(&out, gtid);
-    PutU64(&out, cts);
-    PutU32(&out, table);
-    out.push_back(tombstone ? 1 : 0);
-    out.append(reinterpret_cast<const char*>(key.data()), key.size());
-    PutU32(&out, static_cast<uint32_t>(value.size()));
-    out.append(value);
+    EncodeLogRecord(&out, type, gtid, cts, table, tombstone, key, value);
     return out;
   }
 

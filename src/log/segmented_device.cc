@@ -94,9 +94,12 @@ Result<std::unique_ptr<SegmentedLogDevice>> SegmentedLogDevice::Open(
   ::closedir(d);
   size_t count = 0;
   while (present.count(count) != 0) ++count;
-  for (size_t index : present) {
-    if (index >= count) {
-      ::unlink(device->SegmentPath(index).c_str());
+  // A surviving orphan would be reopened with its old bytes once the log
+  // grows back to its index, so a failed unlink fails the open.
+  for (auto it = present.lower_bound(count); it != present.end(); ++it) {
+    const std::string path = device->SegmentPath(*it);
+    if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
+      return Status::IOError("unlink failed: " + path);
     }
   }
 
@@ -207,19 +210,7 @@ Status SegmentedLogDevice::WritePiecesLocked(uint64_t offset,
     at += len;
     src += len;
   }
-  bytes_written_ += data.size();
   if (end > logical_size_) logical_size_ = end;
-  return Status::OK();
-}
-
-Status SegmentedLogDevice::Append(std::span<const uint8_t> data,
-                                  uint64_t* offset) {
-  {
-    MutexLock guard(mu_);
-    *offset = logical_size_;
-    SKEENA_RETURN_NOT_OK(WritePiecesLocked(logical_size_, data));
-  }
-  SpinWaitNs(options_.latency.write_ns);
   return Status::OK();
 }
 
@@ -257,7 +248,6 @@ Status SegmentedLogDevice::ReadAt(uint64_t offset,
       at += len;
       dst += len;
     }
-    bytes_read_ += out.size();
   }
   SpinWaitNs(options_.latency.read_ns);
   return Status::OK();
@@ -330,16 +320,6 @@ uint64_t SegmentedLogDevice::Size() const {
 uint64_t SegmentedLogDevice::segment_count() const {
   MutexLock guard(mu_);
   return segments_.size();
-}
-
-uint64_t SegmentedLogDevice::bytes_read() const {
-  MutexLock guard(mu_);
-  return bytes_read_;
-}
-
-uint64_t SegmentedLogDevice::bytes_written() const {
-  MutexLock guard(mu_);
-  return bytes_written_;
 }
 
 }  // namespace skeena

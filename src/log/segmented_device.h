@@ -45,7 +45,8 @@ class SegmentedLogDevice : public StorageDevice {
   /// Opens (creating if needed) the segment directory. Existing segments
   /// are picked up in index order; the set in use is the contiguous run
   /// from index 0 (a gap means later segments are orphans of an old
-  /// truncate — they are removed).
+  /// truncate — they are removed, and IOError is returned if one cannot
+  /// be).
   static Result<std::unique_ptr<SegmentedLogDevice>> Open(
       const std::string& dir);
   static Result<std::unique_ptr<SegmentedLogDevice>> Open(
@@ -53,14 +54,11 @@ class SegmentedLogDevice : public StorageDevice {
 
   ~SegmentedLogDevice() override;
 
-  Status Append(std::span<const uint8_t> data, uint64_t* offset) override;
   Status WriteAt(uint64_t offset, std::span<const uint8_t> data) override;
   Status ReadAt(uint64_t offset, std::span<uint8_t> out) const override;
   Status Sync() override;
   Status Truncate(uint64_t size) override;
   uint64_t Size() const override;
-  uint64_t bytes_read() const override;
-  uint64_t bytes_written() const override;
 
   const std::string& dir() const { return dir_; }
   uint64_t segment_bytes() const { return segment_bytes_; }
@@ -91,9 +89,6 @@ class SegmentedLogDevice : public StorageDevice {
   std::vector<Segment> segments_ SKEENA_GUARDED_BY(mu_);
   uint64_t logical_size_ SKEENA_GUARDED_BY(mu_) = 0;
   int dir_fd_ = -1;  // fsynced after segment create/unlink
-
-  mutable uint64_t bytes_read_ SKEENA_GUARDED_BY(mu_) = 0;
-  uint64_t bytes_written_ SKEENA_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace skeena

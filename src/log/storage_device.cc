@@ -35,17 +35,6 @@ void MemDevice::WriteLocked(uint64_t offset, std::span<const uint8_t> data) {
                 data.data() + done, n);
     done += n;
   }
-  bytes_written_ += data.size();
-}
-
-Status MemDevice::Append(std::span<const uint8_t> data, uint64_t* offset) {
-  {
-    MutexLock guard(mu_);
-    *offset = size_;
-    WriteLocked(size_, data);
-  }
-  SpinWaitNs(latency_.write_ns);
-  return Status::OK();
 }
 
 Status MemDevice::WriteAt(uint64_t offset, std::span<const uint8_t> data) {
@@ -71,7 +60,6 @@ Status MemDevice::ReadAt(uint64_t offset, std::span<uint8_t> out) const {
                   chunks_[pos / kChunkBytes].get() + in_chunk, n);
       done += n;
     }
-    bytes_read_ += out.size();
   }
   SpinWaitNs(latency_.read_ns);
   return Status::OK();
@@ -101,16 +89,6 @@ Status MemDevice::Truncate(uint64_t size) {
 uint64_t MemDevice::Size() const {
   MutexLock guard(mu_);
   return size_;
-}
-
-uint64_t MemDevice::bytes_read() const {
-  MutexLock guard(mu_);
-  return bytes_read_;
-}
-
-uint64_t MemDevice::bytes_written() const {
-  MutexLock guard(mu_);
-  return bytes_written_;
 }
 
 // --------------------------------------------------------------- FileDevice
@@ -161,24 +139,11 @@ Status FileDevice::PwriteFully(uint64_t offset, std::span<const uint8_t> data) {
   return Status::OK();
 }
 
-Status FileDevice::Append(std::span<const uint8_t> data, uint64_t* offset) {
-  {
-    MutexLock guard(mu_);
-    *offset = size_;
-    SKEENA_RETURN_NOT_OK(PwriteFully(size_, data));
-    size_ += data.size();
-    bytes_written_ += data.size();
-  }
-  SpinWaitNs(latency_.write_ns);
-  return Status::OK();
-}
-
 Status FileDevice::WriteAt(uint64_t offset, std::span<const uint8_t> data) {
   {
     MutexLock guard(mu_);
     SKEENA_RETURN_NOT_OK(PwriteFully(offset, data));
     if (offset + data.size() > size_) size_ = offset + data.size();
-    bytes_written_ += data.size();
   }
   SpinWaitNs(latency_.write_ns);
   return Status::OK();
@@ -192,7 +157,6 @@ Status FileDevice::ReadAt(uint64_t offset, std::span<uint8_t> out) const {
     if (n < 0 || static_cast<size_t>(n) != out.size()) {
       return Status::IOError("pread failed: " + path_);
     }
-    bytes_read_ += out.size();
   }
   SpinWaitNs(latency_.read_ns);
   return Status::OK();
@@ -219,16 +183,6 @@ Status FileDevice::Truncate(uint64_t size) {
 uint64_t FileDevice::Size() const {
   MutexLock guard(mu_);
   return size_;
-}
-
-uint64_t FileDevice::bytes_read() const {
-  MutexLock guard(mu_);
-  return bytes_read_;
-}
-
-uint64_t FileDevice::bytes_written() const {
-  MutexLock guard(mu_);
-  return bytes_written_;
 }
 
 }  // namespace skeena

@@ -45,9 +45,6 @@ class StorageDevice {
  public:
   virtual ~StorageDevice() = default;
 
-  /// Appends `data` at the end; returns the offset it was written at.
-  virtual Status Append(std::span<const uint8_t> data, uint64_t* offset) = 0;
-
   /// Writes `data` at `offset`, extending the device if needed.
   virtual Status WriteAt(uint64_t offset, std::span<const uint8_t> data) = 0;
 
@@ -67,10 +64,6 @@ class StorageDevice {
   }
 
   virtual uint64_t Size() const = 0;
-
-  /// Total bytes read / written (for experiment reporting).
-  virtual uint64_t bytes_read() const = 0;
-  virtual uint64_t bytes_written() const = 0;
 };
 
 /// In-memory device with optional injected latency. The default for tests
@@ -85,14 +78,11 @@ class MemDevice : public StorageDevice {
  public:
   explicit MemDevice(DeviceLatency latency = DeviceLatency::Tmpfs());
 
-  Status Append(std::span<const uint8_t> data, uint64_t* offset) override;
   Status WriteAt(uint64_t offset, std::span<const uint8_t> data) override;
   Status ReadAt(uint64_t offset, std::span<uint8_t> out) const override;
   Status Sync() override;
   Status Truncate(uint64_t size) override;
   uint64_t Size() const override;
-  uint64_t bytes_read() const override;
-  uint64_t bytes_written() const override;
 
  private:
   static constexpr uint64_t kChunkBytes = uint64_t{1} << 20;
@@ -106,8 +96,6 @@ class MemDevice : public StorageDevice {
   std::vector<std::unique_ptr<uint8_t[]>> chunks_ SKEENA_GUARDED_BY(mu_);
   uint64_t size_ SKEENA_GUARDED_BY(mu_) = 0;
   DeviceLatency latency_;
-  mutable uint64_t bytes_read_ SKEENA_GUARDED_BY(mu_) = 0;
-  uint64_t bytes_written_ SKEENA_GUARDED_BY(mu_) = 0;
 };
 
 /// File-backed device (pread/pwrite/fsync). Used by the durability examples
@@ -120,14 +108,11 @@ class FileDevice : public StorageDevice {
 
   ~FileDevice() override;
 
-  Status Append(std::span<const uint8_t> data, uint64_t* offset) override;
   Status WriteAt(uint64_t offset, std::span<const uint8_t> data) override;
   Status ReadAt(uint64_t offset, std::span<uint8_t> out) const override;
   Status Sync() override;
   Status Truncate(uint64_t size) override;
   uint64_t Size() const override;
-  uint64_t bytes_read() const override;
-  uint64_t bytes_written() const override;
 
   const std::string& path() const { return path_; }
 
@@ -152,8 +137,6 @@ class FileDevice : public StorageDevice {
   uint64_t size_ SKEENA_GUARDED_BY(mu_);
   DeviceLatency latency_;
   PwriteFn pwrite_hook_ = nullptr;
-  mutable uint64_t bytes_read_ SKEENA_GUARDED_BY(mu_) = 0;
-  uint64_t bytes_written_ SKEENA_GUARDED_BY(mu_) = 0;
 };
 
 /// Busy-waits for `ns` nanoseconds to emulate device latency without the

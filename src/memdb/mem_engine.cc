@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 #include "common/spin_latch.h"
-#include "log/log_records.h"
 
 namespace skeena::memdb {
 
@@ -35,14 +33,6 @@ MemTable* MemEngine::GetTable(TableId id) const {
   MutexLock guard(tables_mu_);
   if (id >= tables_.size()) return nullptr;
   return tables_[id].get();
-}
-
-MemTable* MemEngine::GetTableByName(const std::string& name) const {
-  MutexLock guard(tables_mu_);
-  for (const auto& t : tables_) {
-    if (t->name() == name) return t.get();
-  }
-  return nullptr;
 }
 
 std::unique_ptr<MemTxn> MemEngine::Begin(IsolationLevel iso,
@@ -297,21 +287,12 @@ Lsn MemEngine::PostCommit(MemTxn* txn, GlobalTxnId gtid, bool cross_engine) {
   // One floor load per commit; the floor only grows, so a stale value is
   // merely conservative (prunes less).
   Timestamp floor = gc_floor_.load(std::memory_order_acquire);
+  RedoWriter redo(log_.get(), gtid, txn->commit_ts_);
   if (!txn->read_only()) {
     // Log the write images (before the commit record, same log: recovery
     // sees data before commit in FIFO order).
-    LogRecord rec;
     for (const auto& w : txn->writes()) {
-      rec.type = LogRecordType::kData;
-      rec.gtid = gtid;
-      rec.cts = txn->commit_ts_;
-      rec.table = w.table;
-      rec.tombstone = w.tombstone;
-      rec.key = w.key;
-      rec.value = w.value;
-      std::string encoded = rec.Encode();
-      log_->Append(std::span<const uint8_t>(
-          reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
+      redo.Data(w.table, w.key, w.tombstone, w.value);
     }
     // Unlink prunable sub-chains while latched (the cut must be ordered
     // against other installs on the record), but retire them only after
@@ -334,14 +315,7 @@ Lsn MemEngine::PostCommit(MemTxn* txn, GlobalTxnId gtid, bool cross_engine) {
 
   Lsn lsn = 0;
   if (!txn->read_only() || cross_engine || options_.log_read_only_commits) {
-    LogRecord rec;
-    rec.type =
-        cross_engine ? LogRecordType::kCommitEnd : LogRecordType::kCommit;
-    rec.gtid = gtid;
-    rec.cts = txn->commit_ts_;
-    std::string encoded = rec.Encode();
-    lsn = log_->Append(std::span<const uint8_t>(
-        reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
+    lsn = redo.Commit(cross_engine);
   }
 
   // Leave the committing window only after the last log append: the
@@ -431,8 +405,7 @@ Timestamp MemEngine::ReplicationHorizon() const {
   return committing_.MinActive(clock + 1) - 1;
 }
 
-Status MemEngine::ApplyReplicated(GlobalTxnId gtid, Timestamp cts,
-                                  const std::vector<LogRecord>& records) {
+Status MemEngine::ApplyReplicated(const CommittedGroup& group) {
   // Resolve target records first, deduplicating by record (the spin latch
   // is not reentrant); the last image wins, matching the primary's
   // write-set semantics.
@@ -440,9 +413,10 @@ Status MemEngine::ApplyReplicated(GlobalTxnId gtid, Timestamp cts,
     Record* rec;
     const LogRecord* r;
   };
+  const Timestamp cts = group.cts;
   std::vector<Pending> pend;
-  pend.reserve(records.size());
-  for (const LogRecord& r : records) {
+  pend.reserve(group.records.size());
+  for (const LogRecord& r : group.records) {
     MemTable* t = GetTable(r.table);
     if (t == nullptr) {
       return Status::Corruption("replicated record references unknown table");
@@ -461,23 +435,11 @@ Status MemEngine::ApplyReplicated(GlobalTxnId gtid, Timestamp cts,
 
   // Re-log locally (data before commit, like a primary post-commit) so the
   // replica's own WAL recovers to the same state.
-  LogRecord out;
+  RedoWriter redo(log_.get(), group.gtid, cts);
   for (const Pending& p : pend) {
-    out = *p.r;
-    out.type = LogRecordType::kData;
-    out.gtid = gtid;
-    out.cts = cts;
-    std::string encoded = out.Encode();
-    log_->Append(std::span<const uint8_t>(
-        reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
+    redo.Data(p.r->table, p.r->key, p.r->tombstone, p.r->value);
   }
-  LogRecord commit;
-  commit.type = LogRecordType::kCommit;
-  commit.gtid = gtid;
-  commit.cts = cts;
-  std::string encoded = commit.Encode();
-  log_->Append(std::span<const uint8_t>(
-      reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
+  redo.Commit(/*cross_engine=*/false);
 
   // Install under the record latches: replica readers run concurrently and
   // ReadVisible's wait-out-the-latch handshake is what orders their chain
@@ -505,63 +467,21 @@ Status MemEngine::ApplyReplicated(GlobalTxnId gtid, Timestamp cts,
   return Status::OK();
 }
 
-Status MemEngine::Recover(const std::set<GlobalTxnId>& excluded) {
-  struct TxnBuf {
-    std::vector<LogRecord> data;
-    bool committed = false;
-    Timestamp cts = 0;
-  };
-  std::map<GlobalTxnId, TxnBuf> txns;
-
-  LogReader reader(log_->device());
-  std::string raw;
-  while (reader.Next(&raw)) {
-    LogRecord rec;
-    if (!LogRecord::Decode(raw, &rec)) {
-      return Status::Corruption("bad memdb log record");
-    }
-    switch (rec.type) {
-      case LogRecordType::kData:
-        txns[rec.gtid].data.push_back(std::move(rec));
-        break;
-      case LogRecordType::kCommit:
-        txns[rec.gtid].committed = true;
-        txns[rec.gtid].cts = rec.cts;
-        break;
-      case LogRecordType::kCommitBegin:
-        break;  // no longer written; older logs may still hold it
-      case LogRecordType::kCommitEnd:
-        if (excluded.count(rec.gtid) == 0) {
-          txns[rec.gtid].committed = true;
-          txns[rec.gtid].cts = rec.cts;
-        }
-        break;
-    }
-  }
-
-  // Apply committed transactions in commit-timestamp order so version
-  // chains rebuild newest-first.
-  std::vector<const TxnBuf*> committed;
-  for (const auto& [gtid, buf] : txns) {
-    if (buf.committed && !buf.data.empty()) committed.push_back(&buf);
-  }
-  std::sort(committed.begin(), committed.end(),
-            [](const TxnBuf* a, const TxnBuf* b) { return a->cts < b->cts; });
-
+Status MemEngine::ApplyRecovered(const std::vector<CommittedGroup>& groups) {
   Timestamp max_cts = 1;
-  for (const TxnBuf* buf : committed) {
-    for (const LogRecord& rec : buf->data) {
+  for (const CommittedGroup& g : groups) {
+    for (const LogRecord& rec : g.records) {
       MemTable* t = GetTable(rec.table);
       if (t == nullptr) {
         return Status::Corruption("memdb log references unknown table");
       }
       Record* r = t->FindOrCreate(rec.key);
       // relaxed-ok: single-threaded recovery replay; no concurrent reads.
-      auto* v = new Version{buf->cts, r->head.load(std::memory_order_relaxed),
+      auto* v = new Version{g.cts, r->head.load(std::memory_order_relaxed),
                             rec.tombstone, rec.value};
       r->head.store(v, std::memory_order_release);
     }
-    max_cts = std::max(max_cts, buf->cts);
+    max_cts = std::max(max_cts, g.cts);
   }
   clock_.store(max_cts, std::memory_order_release);
   gc_floor_.store(max_cts, std::memory_order_release);

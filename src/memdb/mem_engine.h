@@ -4,7 +4,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -15,7 +14,7 @@
 #include "common/thread_annotations.h"
 #include "common/types.h"
 #include "log/log_manager.h"
-#include "log/log_records.h"
+#include "log/redo.h"
 #include "memdb/mem_table.h"
 #include "memdb/mem_txn.h"
 
@@ -71,7 +70,6 @@ class MemEngine {
   // ----------------------------------------------------------- schema
   TableId CreateTable(const std::string& name);
   MemTable* GetTable(TableId id) const;
-  MemTable* GetTableByName(const std::string& name) const;
 
   // ------------------------------------------------------- transactions
   /// Latest engine snapshot: one atomic load (the cheap anchor-snapshot
@@ -141,12 +139,11 @@ class MemEngine {
   Timestamp ReplicationHorizon() const;
 
   /// Replica-side apply of one replayed committed transaction: installs the
-  /// write images at `cts`, re-logs them locally, and advances the clock to
-  /// at least `cts`. Must be called in ascending-cts order (single applier
-  /// thread); concurrent read-only transactions are safe — installs take
-  /// the record latches like a primary post-commit.
-  Status ApplyReplicated(GlobalTxnId gtid, Timestamp cts,
-                         const std::vector<LogRecord>& records);
+  /// write images at `group.cts`, re-logs them locally, and advances the
+  /// clock to at least that. Must be called in ascending-cts order (single
+  /// applier thread); concurrent read-only transactions are safe — installs
+  /// take the record latches like a primary post-commit.
+  Status ApplyReplicated(const CommittedGroup& group);
 
   // ------------------------------------------------------------- misc
   LogManager* log() const { return log_.get(); }
@@ -175,10 +172,11 @@ class MemEngine {
     gc_horizon_provider_ = std::move(provider);
   }
 
-  /// Replays the engine's log into the (already created) tables. Data of
-  /// cross-engine transactions whose gtid is in `excluded` is skipped —
-  /// core recovery computes that set from both engines' logs (Section 4.6).
-  Status Recover(const std::set<GlobalTxnId>& excluded);
+  /// Recovery's apply step: installs `groups` (this engine's log read by
+  /// ReadCommittedGroups, in commit-timestamp order) into the (already
+  /// created) tables, then sets the clock and the GC floor to the newest
+  /// commit. Single-threaded, before the engine serves transactions.
+  Status ApplyRecovered(const std::vector<CommittedGroup>& groups);
 
   struct Stats {
     uint64_t commits = 0;

@@ -170,36 +170,14 @@ Status Replica::HandleLog(const server::ReplLogBatch& batch) {
       return Status::Corruption("non-contiguous REPL_LOG batch");
     }
   }
+  std::optional<CommittedGroup> closed;
   for (const std::string& raw : batch.records) {
-    LogRecord rec;
-    if (!LogRecord::Decode(raw, &rec)) {
-      return Status::Corruption("undecodable shipped log record");
-    }
-    switch (rec.type) {
-      case LogRecordType::kData:
-        pending_[e][rec.gtid].push_back(std::move(rec));
-        break;
-      case LogRecordType::kCommitBegin:
-        break;  // legacy pre-commit marker; the kCommitEnd closes the group
-      case LogRecordType::kCommit:
-      case LogRecordType::kCommitEnd: {
-        auto it = pending_[e].find(rec.gtid);
-        if (it == pending_[e].end() || it->second.empty()) {
-          // Read-only commit record (borrowed, possibly colliding cts) —
-          // nothing to apply.
-          if (it != pending_[e].end()) pending_[e].erase(it);
-          break;
-        }
-        std::vector<LogRecord> group = std::move(it->second);
-        pending_[e].erase(it);
-        MutexLock guard(mu_);
-        auto ins = ready_[e].emplace(
-            rec.cts, std::make_pair(rec.gtid, std::move(group)));
-        if (!ins.second) {
-          return Status::Corruption("duplicate commit timestamp in stream");
-        }
-        break;
-      }
+    SKEENA_RETURN_NOT_OK(grouper_[e].Add(raw, &closed));
+    if (!closed) continue;
+    const Timestamp cts = closed->cts;
+    MutexLock guard(mu_);
+    if (!ready_[e].emplace(cts, std::move(*closed)).second) {
+      return Status::Corruption("duplicate commit timestamp in stream");
     }
   }
   {
@@ -239,15 +217,12 @@ Status Replica::HandleCsr(const server::ReplCsrBatch& batch) {
   return Status::OK();
 }
 
-Status Replica::ApplyGroup(int e, GlobalTxnId gtid, Timestamp cts,
-                           const std::vector<LogRecord>& records) {
-  if (e == kMemIndex) {
-    return db_->mem()->engine()->ApplyReplicated(gtid, cts, records);
-  }
+Status Replica::ApplyGroup(int e, const CommittedGroup& group) {
+  if (e == kMemIndex) return db_->mem()->engine()->ApplyReplicated(group);
   stordb::StorEngine* stor = db_->stor()->engine();
   auto txn = stor->Begin(IsolationLevel::kSnapshot, kMaxTimestamp);
   if (!txn) return Status::IOError("replica stordb Begin failed");
-  for (const LogRecord& rec : records) {
+  for (const LogRecord& rec : group.records) {
     Status s;
     if (rec.tombstone) {
       s = stor->Delete(txn.get(), rec.table, rec.key);
@@ -262,7 +237,7 @@ Status Replica::ApplyGroup(int e, GlobalTxnId gtid, Timestamp cts,
       return s;
     }
   }
-  stor->CommitReplicated(txn.get(), gtid, cts);
+  stor->CommitReplicated(txn.get(), group.gtid, group.cts);
   return Status::OK();
 }
 
@@ -274,15 +249,12 @@ Status Replica::HandleWatermark(const server::ReplWatermark& wm,
 
   // Extract coverable groups under the lock, apply outside it: the
   // engines' GC floor providers re-enter GatePair() during apply.
-  std::vector<std::pair<GlobalTxnId, std::vector<LogRecord>>>
-      batch[kNumEngines];
-  std::vector<Timestamp> cts_of[kNumEngines];
+  std::vector<CommittedGroup> batch[kNumEngines];
   {
     MutexLock guard(mu_);
     for (int e = 0; e < kNumEngines; ++e) {
       auto& q = ready_[e];
       while (!q.empty() && q.begin()->first <= horizon[e]) {
-        cts_of[e].push_back(q.begin()->first);
         batch[e].push_back(std::move(q.begin()->second));
         q.erase(q.begin());
       }
@@ -292,7 +264,7 @@ Status Replica::HandleWatermark(const server::ReplWatermark& wm,
   Status s = Status::OK();
   for (int e = 0; e < kNumEngines && s.ok(); ++e) {
     for (size_t i = 0; i < batch[e].size() && s.ok(); ++i) {
-      s = ApplyGroup(e, batch[e][i].first, cts_of[e][i], batch[e][i].second);
+      s = ApplyGroup(e, batch[e][i]);
     }
   }
   if (s.ok()) {

@@ -25,7 +25,6 @@
 #include <map>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -33,7 +32,7 @@
 #include "common/thread_annotations.h"
 #include "common/types.h"
 #include "core/database.h"
-#include "log/log_records.h"
+#include "log/redo.h"
 #include "repl/channel.h"
 #include "server/wire.h"
 
@@ -100,8 +99,7 @@ class Replica {
   Status HandleLog(const server::ReplLogBatch& batch);
   Status HandleCsr(const server::ReplCsrBatch& batch);
   Status HandleWatermark(const server::ReplWatermark& wm, uint64_t* rid);
-  Status ApplyGroup(int e, GlobalTxnId gtid, Timestamp cts,
-                    const std::vector<LogRecord>& records);
+  Status ApplyGroup(int e, const CommittedGroup& group);
   /// Clamp (anchor_h, other_h) against gate_mappings_ and publish.
   void RecomputeGate(Timestamp anchor_h, Timestamp other_h);
   /// WaitCaughtUp's predicate (out-of-line so TSA sees the lock).
@@ -117,8 +115,8 @@ class Replica {
   ReplChannel ch_;
 
   // --- staging state owned by the run thread (no lock).
-  // Data records grouped per gtid until the commit marker lands.
-  std::unordered_map<GlobalTxnId, std::vector<LogRecord>> pending_[kNumEngines];
+  // Data records grouped per gtid until the commit record lands.
+  RedoGrouper grouper_[kNumEngines];
   // Replayed CSR mappings: anchor key -> installed [lo, hi] value range.
   // Run-thread only; the gate scan walks it descending.
   std::map<Timestamp, std::pair<Timestamp, Timestamp>> gate_mappings_;
@@ -132,8 +130,8 @@ class Replica {
   uint64_t csr_seq_ SKEENA_GUARDED_BY(mu_) = 0;
   // Committed groups keyed by commit timestamp (mem cts / stor ser),
   // applied in ascending order once a watermark covers them.
-  std::map<Timestamp, std::pair<GlobalTxnId, std::vector<LogRecord>>>
-      ready_[kNumEngines] SKEENA_GUARDED_BY(mu_);
+  std::map<Timestamp, CommittedGroup> ready_[kNumEngines]
+      SKEENA_GUARDED_BY(mu_);
   // Groups extracted from ready_, not yet applied.
   bool applying_ SKEENA_GUARDED_BY(mu_) = false;
   Timestamp applied_horizon_[kNumEngines] SKEENA_GUARDED_BY(mu_) = {};

@@ -142,8 +142,6 @@ Status LockManager::Lock(uint64_t txn_id, Rid rid, LockMode mode) {
       }
       remove_waiter();
       ClearEdges(txn_id);
-      // relaxed-ok: stat counter.
-      timeouts_.fetch_add(1, std::memory_order_relaxed);
       return Status::TimedOut("lock wait timeout");
     }
   }

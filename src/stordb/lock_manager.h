@@ -55,7 +55,6 @@ class LockManager {
   bool Holds(uint64_t txn_id, Rid rid, LockMode mode) const;
 
   uint64_t deadlocks() const { return deadlocks_; }
-  uint64_t timeouts() const { return timeouts_; }
   uint64_t waits() const { return waits_; }
 
  private:
@@ -103,7 +102,6 @@ class LockManager {
       SKEENA_GUARDED_BY(graph_mu_);
 
   std::atomic<uint64_t> deadlocks_{0};
-  std::atomic<uint64_t> timeouts_{0};
   std::atomic<uint64_t> waits_{0};
 };
 

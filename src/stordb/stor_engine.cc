@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <map>
-
-#include "log/log_records.h"
 
 namespace skeena::stordb {
 
@@ -65,11 +62,6 @@ StorEngine::StorTable* StorEngine::GetTable(TableId id) const {
   MutexLock guard(tables_mu_);
   if (id >= tables_.size()) return nullptr;
   return tables_[id].get();
-}
-
-size_t StorEngine::TableRowCapacity(TableId id) const {
-  StorTable* t = GetTable(id);
-  return t == nullptr ? 0 : t->slots_per_page;
 }
 
 std::unique_ptr<StorTxn> StorEngine::Begin(IsolationLevel iso,
@@ -413,33 +405,15 @@ Status StorEngine::PreCommit(StorTxn* txn) {
 Lsn StorEngine::PostCommit(StorTxn* txn, GlobalTxnId gtid, bool cross_engine) {
   assert(txn->state_ == StorTxn::State::kPreCommitted);
 
+  RedoWriter redo(log_.get(), gtid, txn->ser_no_);
   if (!txn->read_only()) {
-    LogRecord rec;
     for (const RedoEntry& r : txn->redo_) {
-      rec.type = LogRecordType::kData;
-      rec.gtid = gtid;
-      rec.cts = txn->ser_no_;
-      rec.table = r.table;
-      rec.tombstone = r.tombstone;
-      rec.key = r.key;
-      rec.value = r.value;
-      std::string encoded = rec.Encode();
-      log_->Append(std::span<const uint8_t>(
-          reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
+      redo.Data(r.table, r.key, r.tombstone, r.value);
     }
     trx_sys_.MarkCommitted(txn->tid_);
   }
   Lsn lsn = 0;
-  if (!txn->read_only() || cross_engine) {
-    LogRecord rec;
-    rec.type =
-        cross_engine ? LogRecordType::kCommitEnd : LogRecordType::kCommit;
-    rec.gtid = gtid;
-    rec.cts = txn->ser_no_;
-    std::string encoded = rec.Encode();
-    lsn = log_->Append(std::span<const uint8_t>(
-        reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
-  }
+  if (!txn->read_only() || cross_engine) lsn = redo.Commit(cross_engine);
   // Leave the committing window only after the last log append: the
   // replication horizon must not pass this ser while records are pending.
   if (txn->committing_slot_ != StorTxn::kNoSlot) {
@@ -608,15 +582,12 @@ Status StorEngine::RecoveryApply(StorTable* t, const Key& key,
                                  const std::string& value, bool tombstone) {
   uint64_t ridv = 0;
   Rid rid;
-  bool fresh = false;
   if (t->index.Lookup(key, &ridv)) {
     rid = ridv;
   } else {
     rid = AllocateSlot(t);
     t->index.Insert(key, rid);
-    fresh = true;
   }
-  (void)fresh;
   auto page = pool_->FetchPage(MakePageId(t->id, RidPage(rid)));
   if (!page.ok()) return page.status();
   PageGuard& guard = page.value();
@@ -636,50 +607,10 @@ Status StorEngine::RecoveryApply(StorTable* t, const Key& key,
   return Status::OK();
 }
 
-Status StorEngine::Recover(const std::set<GlobalTxnId>& excluded) {
-  struct TxnBuf {
-    std::vector<LogRecord> data;
-    bool committed = false;
-    Timestamp cts = 0;
-  };
-  std::map<GlobalTxnId, TxnBuf> txns;
-
-  LogReader reader(log_->device());
-  std::string raw;
-  while (reader.Next(&raw)) {
-    LogRecord rec;
-    if (!LogRecord::Decode(raw, &rec)) {
-      return Status::Corruption("bad stordb log record");
-    }
-    switch (rec.type) {
-      case LogRecordType::kData:
-        txns[rec.gtid].data.push_back(std::move(rec));
-        break;
-      case LogRecordType::kCommit:
-        txns[rec.gtid].committed = true;
-        txns[rec.gtid].cts = rec.cts;
-        break;
-      case LogRecordType::kCommitBegin:
-        break;  // no longer written; older logs may still hold it
-      case LogRecordType::kCommitEnd:
-        if (excluded.count(rec.gtid) == 0) {
-          txns[rec.gtid].committed = true;
-          txns[rec.gtid].cts = rec.cts;
-        }
-        break;
-    }
-  }
-
-  std::vector<const TxnBuf*> committed;
-  for (const auto& [gtid, buf] : txns) {
-    if (buf.committed && !buf.data.empty()) committed.push_back(&buf);
-  }
-  std::sort(committed.begin(), committed.end(),
-            [](const TxnBuf* a, const TxnBuf* b) { return a->cts < b->cts; });
-
+Status StorEngine::ApplyRecovered(const std::vector<CommittedGroup>& groups) {
   Timestamp max_cts = 1;
-  for (const TxnBuf* buf : committed) {
-    for (const LogRecord& rec : buf->data) {
+  for (const CommittedGroup& g : groups) {
+    for (const LogRecord& rec : g.records) {
       StorTable* t = GetTable(rec.table);
       if (t == nullptr) {
         return Status::Corruption("stordb log references unknown table");
@@ -687,7 +618,7 @@ Status StorEngine::Recover(const std::set<GlobalTxnId>& excluded) {
       SKEENA_RETURN_NOT_OK(RecoveryApply(t, rec.key, rec.value,
                                          rec.tombstone));
     }
-    max_cts = std::max(max_cts, buf->cts);
+    max_cts = std::max(max_cts, g.cts);
   }
   trx_sys_.AdvanceTo(max_cts + 1);
   return Status::OK();

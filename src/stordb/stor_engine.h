@@ -4,7 +4,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -16,6 +15,7 @@
 #include "common/types.h"
 #include "index/btree.h"
 #include "log/log_manager.h"
+#include "log/redo.h"
 #include "stordb/buffer_pool.h"
 #include "stordb/lock_manager.h"
 #include "stordb/stor_txn.h"
@@ -80,7 +80,6 @@ class StorEngine {
 
   // ----------------------------------------------------------- schema
   TableId CreateTable(const std::string& name, size_t max_value_size);
-  size_t TableRowCapacity(TableId id) const;
 
   // ------------------------------------------------------- transactions
   /// Latest commit-order snapshot (for CSR Algorithm 1's fallback).
@@ -160,8 +159,10 @@ class StorEngine {
     return purge_floor_.load(std::memory_order_acquire);
   }
 
-  /// Log-replay recovery; see MemEngine::Recover for the contract.
-  Status Recover(const std::set<GlobalTxnId>& excluded);
+  /// Recovery's apply step: writes `groups`' row images in place (see
+  /// MemEngine::ApplyRecovered for the contract), then moves the
+  /// serialisation counter past the newest commit.
+  Status ApplyRecovered(const std::vector<CommittedGroup>& groups);
 
   struct Stats {
     uint64_t commits = 0;

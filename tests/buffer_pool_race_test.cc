@@ -66,9 +66,6 @@ class BlockingStorageDevice : public StorageDevice {
     fail_read_off_ = offset;
   }
 
-  Status Append(std::span<const uint8_t> data, uint64_t* offset) override {
-    return inner_.Append(data, offset);
-  }
   Status WriteAt(uint64_t offset, std::span<const uint8_t> data) override {
     {
       std::unique_lock<std::mutex> lock(gate_mu_);
@@ -98,8 +95,6 @@ class BlockingStorageDevice : public StorageDevice {
   }
   Status Sync() override { return inner_.Sync(); }
   uint64_t Size() const override { return inner_.Size(); }
-  uint64_t bytes_read() const override { return inner_.bytes_read(); }
-  uint64_t bytes_written() const override { return inner_.bytes_written(); }
 
  private:
   MemDevice inner_;

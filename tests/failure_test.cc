@@ -25,10 +25,6 @@ class FlakyDevice : public StorageDevice {
   mutable std::atomic<uint64_t> reads_attempted{0};
   std::atomic<uint64_t> writes_attempted{0};
 
-  Status Append(std::span<const uint8_t> data, uint64_t* offset) override {
-    if (fail_writes.load()) return Status::IOError("injected append failure");
-    return inner_.Append(data, offset);
-  }
   Status WriteAt(uint64_t offset, std::span<const uint8_t> data) override {
     writes_attempted.fetch_add(1);
     if (fail_writes.load()) return Status::IOError("injected write failure");
@@ -44,8 +40,6 @@ class FlakyDevice : public StorageDevice {
     return inner_.Sync();
   }
   uint64_t Size() const override { return inner_.Size(); }
-  uint64_t bytes_read() const override { return inner_.bytes_read(); }
-  uint64_t bytes_written() const override { return inner_.bytes_written(); }
 
  private:
   MemDevice inner_;

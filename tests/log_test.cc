@@ -6,10 +6,13 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "log/log_records.h"
+#include "log/redo.h"
 #include "log/segmented_device.h"
 #include "log/storage_device.h"
 
@@ -42,11 +45,9 @@ std::string FreshDir(const std::string& name) {
 
 TEST(MemDeviceTest, AppendReadRoundTrip) {
   MemDevice dev;
-  uint64_t off1 = 0, off2 = 0;
-  ASSERT_TRUE(dev.Append(Bytes("hello"), &off1).ok());
-  ASSERT_TRUE(dev.Append(Bytes("world!"), &off2).ok());
-  EXPECT_EQ(off1, 0u);
-  EXPECT_EQ(off2, 5u);
+  ASSERT_TRUE(dev.WriteAt(dev.Size(), Bytes("hello")).ok());
+  EXPECT_EQ(dev.Size(), 5u);
+  ASSERT_TRUE(dev.WriteAt(dev.Size(), Bytes("world!")).ok());
   EXPECT_EQ(dev.Size(), 11u);
 
   std::string out(6, '\0');
@@ -67,8 +68,7 @@ TEST(MemDeviceTest, WriteAtExtends) {
 
 TEST(MemDeviceTest, ReadPastEndFails) {
   MemDevice dev;
-  uint64_t off;
-  ASSERT_TRUE(dev.Append(Bytes("abc"), &off).ok());
+  ASSERT_TRUE(dev.WriteAt(dev.Size(), Bytes("abc")).ok());
   std::string out(10, '\0');
   EXPECT_FALSE(
       dev.ReadAt(0, {reinterpret_cast<uint8_t*>(out.data()), 10}).ok());
@@ -88,9 +88,8 @@ TEST(MemDeviceTest, WritesAcrossChunkBoundariesRoundTrip) {
       dev.ReadAt(at, {reinterpret_cast<uint8_t*>(out.data()), out.size()})
           .ok());
   EXPECT_EQ(out, data);
-  uint64_t off = 0;
-  ASSERT_TRUE(dev.Append(Bytes("tail"), &off).ok());
-  EXPECT_EQ(off, at + data.size());
+  ASSERT_TRUE(dev.WriteAt(dev.Size(), Bytes("tail")).ok());
+  EXPECT_EQ(dev.Size(), at + data.size() + 4);
 }
 
 TEST(MemDeviceTest, TruncatedBytesReadAsZeroAfterRegrowth) {
@@ -112,16 +111,6 @@ TEST(MemDeviceTest, TruncatedBytesReadAsZeroAfterRegrowth) {
   EXPECT_EQ(kept, '\x01');
 }
 
-TEST(MemDeviceTest, TracksByteCounters) {
-  MemDevice dev;
-  uint64_t off;
-  dev.Append(Bytes("12345678"), &off);
-  std::string out(4, '\0');
-  dev.ReadAt(0, {reinterpret_cast<uint8_t*>(out.data()), 4});
-  EXPECT_EQ(dev.bytes_written(), 8u);
-  EXPECT_EQ(dev.bytes_read(), 4u);
-}
-
 TEST(FileDeviceTest, PersistsAcrossReopen) {
   std::string path =
       (std::filesystem::temp_directory_path() / "skeena_dev_test.bin")
@@ -130,8 +119,7 @@ TEST(FileDeviceTest, PersistsAcrossReopen) {
   {
     auto dev = FileDevice::Open(path);
     ASSERT_TRUE(dev.ok());
-    uint64_t off;
-    ASSERT_TRUE((*dev)->Append(Bytes("durable"), &off).ok());
+    ASSERT_TRUE((*dev)->WriteAt((*dev)->Size(), Bytes("durable")).ok());
     ASSERT_TRUE((*dev)->Sync().ok());
   }
   {
@@ -162,8 +150,7 @@ TEST(FileDeviceTest, ShortWritesAreRetriedToCompletion) {
   (*dev)->SetPwriteHookForTest(&ShortPwrite);
 
   const std::string payload = "short-writes-must-not-tear-this-record";
-  uint64_t off = 0;
-  ASSERT_TRUE((*dev)->Append(Bytes(payload), &off).ok());
+  ASSERT_TRUE((*dev)->WriteAt((*dev)->Size(), Bytes(payload)).ok());
   ASSERT_TRUE((*dev)->WriteAt(10, Bytes("OVERWRITE")).ok());
   (*dev)->SetPwriteHookForTest(nullptr);
 
@@ -181,9 +168,8 @@ TEST(FileDeviceTest, ShortWritesAreRetriedToCompletion) {
 
 TEST(DeviceLatencyTest, InjectedLatencyIsCharged) {
   MemDevice slow(DeviceLatency{.read_ns = 200000, .write_ns = 0, .sync_ns = 0});
-  uint64_t off;
   std::string payload(64, 'x');
-  slow.Append(Bytes(payload), &off);
+  slow.WriteAt(slow.Size(), Bytes(payload));
   std::string out(64, '\0');
   auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < 10; ++i) {
@@ -238,7 +224,7 @@ TEST(LogManagerTest, GroupCommitBatchesConcurrentAppends) {
   }
   for (auto& th : threads) th.join();
   // Group commit must aggregate many appends per device write.
-  EXPECT_LT(log.flush_batches(), kThreads * kPerThread)
+  EXPECT_LT(log.stats().flushes, kThreads * kPerThread)
       << "every append got its own flush: group commit broken";
   EXPECT_GE(log.DurableLsn(), log.CurrentLsn());
 }
@@ -263,7 +249,6 @@ TEST(LogManagerTest, ReaderSeesAllRecordsInOrder) {
 
 TEST(LogManagerTest, ReaderStopsAtTornTail) {
   auto dev = std::make_unique<MemDevice>();
-  uint64_t off;
   // One valid frame, then a frame header promising more bytes than exist.
   std::string bytes = Frame("abc");
   uint32_t torn_len = 100;
@@ -271,7 +256,7 @@ TEST(LogManagerTest, ReaderStopsAtTornTail) {
   bytes.append(reinterpret_cast<const char*>(&torn_len), 4);
   bytes.append(reinterpret_cast<const char*>(&torn_check), 4);
   bytes += "partial";
-  dev->Append(Bytes(bytes), &off);
+  dev->WriteAt(dev->Size(), Bytes(bytes));
 
   LogReader reader(dev.get());
   std::string rec;
@@ -282,7 +267,6 @@ TEST(LogManagerTest, ReaderStopsAtTornTail) {
 
 TEST(LogManagerTest, ReaderStopsAtCorruptFrameCheck) {
   auto dev = std::make_unique<MemDevice>();
-  uint64_t off;
   // Second frame is fully present but its payload was torn mid-write: the
   // length/check header no longer matches the bytes that follow.
   std::string bytes = Frame("good-record");
@@ -290,7 +274,7 @@ TEST(LogManagerTest, ReaderStopsAtCorruptFrameCheck) {
   bad[bad.size() - 1] ^= 0x5a;
   bytes += bad;
   bytes += Frame("unreachable");
-  dev->Append(Bytes(bytes), &off);
+  dev->WriteAt(dev->Size(), Bytes(bytes));
 
   LogReader reader(dev.get());
   std::string rec;
@@ -409,7 +393,7 @@ TEST(LogManagerTest, SelfClockedFlusherBatchesCommitsOnSlowDevice) {
   }
   for (auto& th : threads) th.join();
   const uint64_t commits = kThreads * kPerThread;
-  EXPECT_LE(log.flush_batches(), commits / 2)
+  EXPECT_LE(log.stats().flushes, commits / 2)
       << "flushes per commit must fall well below 1 once a flush costs "
          "device time";
   EXPECT_GE(log.DurableLsn(), log.CurrentLsn());
@@ -435,7 +419,7 @@ TEST(LogManagerTest, FlushesStartAtLeastOnePeriodApartOnFastDevice) {
   }
   for (auto& th : threads) th.join();
   const auto elapsed = std::chrono::steady_clock::now() - t0;
-  const uint64_t flushes = log.flush_batches();
+  const uint64_t flushes = log.stats().flushes;
   EXPECT_LE(flushes, 1 + static_cast<uint64_t>(
                              elapsed / LogManager::kMinFlushPeriod));
   EXPECT_LT(flushes, static_cast<uint64_t>(kThreads * kPerThread));
@@ -627,6 +611,21 @@ TEST(SegmentedDeviceTest, TruncateReportsFailedUnlink) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(SegmentedDeviceTest, OpenReportsFailedOrphanUnlink) {
+  // A segment past a gap is an orphan of an interrupted truncate; one that
+  // survives the open would rejoin the log with its old bytes once the log
+  // grows back to it. A directory in orphan 2's place (segment 1 missing)
+  // makes its unlink fail with EISDIR.
+  std::string dir = FreshDir("skeena_seg_orphan_unlink");
+  SegmentedLogDevice::Options o;
+  o.segment_bytes = 8 * 1024;
+  ASSERT_TRUE(SegmentedLogDevice::Open(dir, o).ok());
+  ASSERT_TRUE(std::filesystem::create_directory(dir + "/wal.00000002.seg"));
+  EXPECT_FALSE(SegmentedLogDevice::Open(dir, o).ok())
+      << "open acked while an orphan segment is still on disk";
+  std::filesystem::remove_all(dir);
+}
+
 TEST(SegmentedDeviceTest, DurableWaitsAcrossSegmentsRoundTrip) {
   // Many small flush batches, each waited durable, walk the log across
   // several 8 KiB segments, so some batches' pwrites straddle an edge and
@@ -710,6 +709,148 @@ TEST(LogRecordTest, EmptyValueAllowed) {
   EXPECT_TRUE(out.value.empty());
 }
 
+// -------------------------------------------------------------------- Redo
+
+std::string Rec(LogRecordType type, GlobalTxnId gtid, Timestamp cts,
+                uint64_t key = 0, const std::string& value = "") {
+  LogRecord r;
+  r.type = type;
+  r.gtid = gtid;
+  r.cts = cts;
+  r.key = MakeKey(key);
+  r.value = value;
+  return r.Encode();
+}
+
+TEST(RedoGrouperTest, DataThenCommitFormsOneGroup) {
+  RedoGrouper grouper;
+  std::optional<CommittedGroup> closed;
+  ASSERT_TRUE(grouper.Add(Rec(LogRecordType::kData, 7, 40, 1, "a"), &closed)
+                  .ok());
+  EXPECT_FALSE(closed);
+  ASSERT_TRUE(grouper.Add(Rec(LogRecordType::kData, 7, 40, 2, "b"), &closed)
+                  .ok());
+  EXPECT_FALSE(closed);
+  ASSERT_TRUE(grouper.Add(Rec(LogRecordType::kCommit, 7, 40), &closed).ok());
+  ASSERT_TRUE(closed);
+  EXPECT_EQ(closed->gtid, 7u);
+  EXPECT_EQ(closed->cts, 40u);
+  ASSERT_EQ(closed->records.size(), 2u);
+  EXPECT_EQ(closed->records[0].key, MakeKey(1));
+  EXPECT_EQ(closed->records[0].value, "a");
+  EXPECT_EQ(closed->records[1].key, MakeKey(2));
+  EXPECT_EQ(closed->records[1].value, "b");
+}
+
+TEST(RedoGrouperTest, CommitWithoutDataFormsNoGroup) {
+  RedoGrouper grouper;
+  std::optional<CommittedGroup> closed;
+  ASSERT_TRUE(grouper.Add(Rec(LogRecordType::kCommit, 3, 9), &closed).ok());
+  EXPECT_FALSE(closed) << "a read-only commit has nothing to apply";
+  ASSERT_TRUE(
+      grouper.Add(Rec(LogRecordType::kCommitEnd, 4, 9), &closed).ok());
+  EXPECT_FALSE(closed);
+}
+
+TEST(RedoGrouperTest, InterleavedGtidsGroupSeparately) {
+  RedoGrouper grouper;
+  std::optional<CommittedGroup> closed;
+  ASSERT_TRUE(grouper.Add(Rec(LogRecordType::kData, 1, 12, 10), &closed).ok());
+  ASSERT_TRUE(grouper.Add(Rec(LogRecordType::kData, 2, 11, 20), &closed).ok());
+  ASSERT_TRUE(grouper.Add(Rec(LogRecordType::kData, 1, 12, 11), &closed).ok());
+  ASSERT_TRUE(grouper.Add(Rec(LogRecordType::kCommit, 2, 11), &closed).ok());
+  ASSERT_TRUE(closed);
+  EXPECT_EQ(closed->gtid, 2u);
+  ASSERT_EQ(closed->records.size(), 1u);
+  EXPECT_EQ(closed->records[0].key, MakeKey(20));
+  ASSERT_TRUE(
+      grouper.Add(Rec(LogRecordType::kCommitEnd, 1, 12), &closed).ok());
+  ASSERT_TRUE(closed);
+  EXPECT_EQ(closed->gtid, 1u);
+  EXPECT_EQ(closed->cts, 12u);
+  ASSERT_EQ(closed->records.size(), 2u);
+  EXPECT_EQ(closed->records[0].key, MakeKey(10));
+  EXPECT_EQ(closed->records[1].key, MakeKey(11));
+}
+
+TEST(RedoGrouperTest, LegacyCommitBeginIsIgnored) {
+  RedoGrouper grouper;
+  std::optional<CommittedGroup> closed;
+  ASSERT_TRUE(
+      grouper.Add(Rec(LogRecordType::kCommitBegin, 5, 1), &closed).ok());
+  EXPECT_FALSE(closed);
+  ASSERT_TRUE(grouper.Add(Rec(LogRecordType::kData, 5, 8, 1), &closed).ok());
+  ASSERT_TRUE(
+      grouper.Add(Rec(LogRecordType::kCommitBegin, 5, 1), &closed).ok());
+  EXPECT_FALSE(closed) << "a commit-begin must not close the group";
+  ASSERT_TRUE(
+      grouper.Add(Rec(LogRecordType::kCommitEnd, 5, 8), &closed).ok());
+  ASSERT_TRUE(closed);
+  EXPECT_EQ(closed->cts, 8u);
+  EXPECT_EQ(closed->records.size(), 1u);
+}
+
+TEST(RedoGrouperTest, UndecodableRecordIsCorruption) {
+  RedoGrouper grouper;
+  std::optional<CommittedGroup> closed;
+  const std::string whole = Rec(LogRecordType::kData, 1, 1, 1, "value");
+  Status s = grouper.Add(std::string_view(whole).substr(0, 10), &closed);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_FALSE(closed);
+}
+
+TEST(RedoGrouperTest, TornCommitEndDropsItsGroup) {
+  const std::set<GlobalTxnId> torn = {9};
+  RedoGrouper grouper(&torn);
+  std::optional<CommittedGroup> closed;
+  ASSERT_TRUE(grouper.Add(Rec(LogRecordType::kData, 9, 3, 1), &closed).ok());
+  ASSERT_TRUE(
+      grouper.Add(Rec(LogRecordType::kCommitEnd, 9, 3), &closed).ok());
+  EXPECT_FALSE(closed) << "a torn cross-engine transaction must roll back";
+  ASSERT_TRUE(grouper.Add(Rec(LogRecordType::kData, 9, 4, 2), &closed).ok());
+  ASSERT_TRUE(grouper.Add(Rec(LogRecordType::kCommit, 9, 4), &closed).ok());
+  EXPECT_TRUE(closed) << "only commit-ends are paired across logs";
+}
+
+TEST(RedoTest, WriterRoundTripsInCommitTimestampOrder) {
+  // Groups commit out of timestamp order in the log (post-commit appends
+  // race); the reader hands them back sorted, with the census of the log.
+  LogManager log(std::make_unique<MemDevice>());
+  {
+    RedoWriter late(&log, 1, 20);
+    late.Data(3, MakeKey(1), false, "late");
+    RedoWriter early(&log, 2, 10);
+    early.Data(3, MakeKey(2), true, "");
+    EXPECT_GT(early.Commit(/*cross_engine=*/true), 0u);
+    late.Commit(/*cross_engine=*/false);
+    RedoWriter read_only(&log, 4, 15);
+    read_only.Commit(/*cross_engine=*/true);
+  }
+  ASSERT_TRUE(log.Flush().ok());
+
+  std::vector<CommittedGroup> groups;
+  ASSERT_TRUE(ReadCommittedGroups(log.device(), {}, &groups).ok());
+  ASSERT_EQ(groups.size(), 2u);
+  EXPECT_EQ(groups[0].gtid, 2u);
+  EXPECT_EQ(groups[0].cts, 10u);
+  ASSERT_EQ(groups[0].records.size(), 1u);
+  EXPECT_TRUE(groups[0].records[0].tombstone);
+  EXPECT_EQ(groups[0].records[0].table, 3u);
+  EXPECT_EQ(groups[1].gtid, 1u);
+  ASSERT_EQ(groups[1].records.size(), 1u);
+  EXPECT_EQ(groups[1].records[0].value, "late");
+
+  LogCensus census;
+  ASSERT_TRUE(TakeCensus(log.device(), &census).ok());
+  EXPECT_EQ(census.commit_ends, (std::set<GlobalTxnId>{2, 4}));
+  EXPECT_EQ(census.max_gtid, 4u);
+
+  groups.clear();
+  ASSERT_TRUE(ReadCommittedGroups(log.device(), {2}, &groups).ok());
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].gtid, 1u);
+}
+
 // A MemDevice whose Truncate returns a chosen status.
 class TruncateResultDevice : public MemDevice {
  public:
@@ -723,8 +864,7 @@ class TruncateResultDevice : public MemDevice {
 // One whole frame followed by bytes that do not decode as a frame.
 std::unique_ptr<StorageDevice> TornTail(Status truncate_result) {
   auto dev = std::make_unique<TruncateResultDevice>(std::move(truncate_result));
-  uint64_t off = 0;
-  EXPECT_TRUE(dev->Append(Bytes(Frame("whole") + "garbage tail"), &off).ok());
+  EXPECT_TRUE(dev->WriteAt(0, Bytes(Frame("whole") + "garbage tail")).ok());
   return dev;
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "log/redo.h"
 #include "log/storage_device.h"
 
 namespace skeena::memdb {
@@ -406,12 +407,14 @@ TEST_F(MemEngineTest, RecoverReplaysCommittedOnly) {
     std::vector<uint8_t> snapshot(raw->Size());
     raw->ReadAt(0, snapshot);
     auto dev2 = std::make_unique<MemDevice>();
-    uint64_t off;
-    dev2->Append(snapshot, &off);
+    ASSERT_TRUE(dev2->WriteAt(0, snapshot).ok());
 
     MemEngine recovered(std::move(dev2), MemEngine::Options{});
     TableId t2 = recovered.CreateTable("r");
-    ASSERT_TRUE(recovered.Recover({}).ok());
+    std::vector<CommittedGroup> groups;
+    ASSERT_TRUE(
+        ReadCommittedGroups(recovered.log()->device(), {}, &groups).ok());
+    ASSERT_TRUE(recovered.ApplyRecovered(groups).ok());
     auto reader = recovered.Begin(IsolationLevel::kSnapshot);
     std::string v;
     ASSERT_TRUE(recovered.Get(reader.get(), t2, MakeKey(1), &v).ok());

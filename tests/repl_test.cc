@@ -354,9 +354,6 @@ class GatedSyncDevice : public StorageDevice {
   explicit GatedSyncDevice(std::shared_ptr<SyncGate> gate)
       : gate_(std::move(gate)), inner_(DeviceLatency::Tmpfs()) {}
 
-  Status Append(std::span<const uint8_t> data, uint64_t* offset) override {
-    return inner_.Append(data, offset);
-  }
   Status WriteAt(uint64_t offset, std::span<const uint8_t> data) override {
     return inner_.WriteAt(offset, data);
   }
@@ -371,8 +368,6 @@ class GatedSyncDevice : public StorageDevice {
   }
   Status Truncate(uint64_t size) override { return inner_.Truncate(size); }
   uint64_t Size() const override { return inner_.Size(); }
-  uint64_t bytes_read() const override { return inner_.bytes_read(); }
-  uint64_t bytes_written() const override { return inner_.bytes_written(); }
 
  private:
   std::shared_ptr<SyncGate> gate_;

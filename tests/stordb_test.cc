@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "log/redo.h"
 #include "stordb/buffer_pool.h"
 #include "stordb/lock_manager.h"
 #include "stordb/page.h"
@@ -98,7 +99,7 @@ TEST_F(BufferPoolTest, EvictionWritesBackDirtyPages) {
     EXPECT_EQ(page->data()[0], static_cast<uint8_t>(p + 1)) << "page " << p;
   }
   EXPECT_GT(pool->misses(), 0u);
-  EXPECT_GT(device_->bytes_written(), 0u);
+  EXPECT_GT(pool->write_backs(), 0u);
 }
 
 TEST_F(BufferPoolTest, PinnedPagesAreNotEvicted) {
@@ -644,11 +645,12 @@ TEST_F(StorEngineTest, RecoverReplaysCommittedOnly) {
     raw->ReadAt(0, log_bytes);
   }
   auto dev2 = std::make_unique<MemDevice>();
-  uint64_t off;
-  dev2->Append(log_bytes, &off);
+  ASSERT_TRUE(dev2->WriteAt(0, log_bytes).ok());
   StorEngine recovered(std::move(dev2), StorEngine::Options{});
   TableId t2 = recovered.CreateTable("r", 256);
-  ASSERT_TRUE(recovered.Recover({}).ok());
+  std::vector<CommittedGroup> groups;
+  ASSERT_TRUE(ReadCommittedGroups(recovered.log()->device(), {}, &groups).ok());
+  ASSERT_TRUE(recovered.ApplyRecovered(groups).ok());
 
   auto reader = recovered.Begin(IsolationLevel::kSnapshot);
   std::string v;
