@@ -2,8 +2,8 @@
 // microbenchmark with an SSD-like log latency so the flush cost is visible.
 //
 // Every commit waits on both engine logs' durable LSNs on its own thread.
-// A committer leads a flush pass when the log's period floor has passed;
-// otherwise a pass in progress (or the log's flusher) covers it and one
+// A committer leads a flush pass at the log's period floor, spinning out at
+// most one period; otherwise a pass in progress covers it and one
 // unpark releases every waiter the pass made durable. The wakeup matrix
 // counts those kernel wakes per commit; the park matrix counts commits
 // whose durable wait blocked in the kernel.

@@ -18,8 +18,8 @@ namespace skeena {
 ///
 /// Every Transaction::Commit calls WaitDurable, which waits on each
 /// engine log's LogManager::WaitDurable on the committing thread. A
-/// committer leads a flush pass itself when the log's period floor has
-/// passed; otherwise the pass in progress (or the log's flusher) covers it,
+/// committer leads a flush pass itself at the log's period floor, spinning
+/// out at most one period; otherwise the pass in progress covers it,
 /// and one unpark per flush releases every waiter it covers — no daemon in
 /// between (see DESIGN.md "Commit wakeup path").
 class CommitPipeline {

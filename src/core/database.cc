@@ -253,7 +253,7 @@ Status Database::Recover() {
   std::vector<CommittedGroup> groups;
   SKEENA_RETURN_NOT_OK(
       ReadCommittedGroups(mem_->Log()->device(), torn, &groups));
-  SKEENA_RETURN_NOT_OK(mem_->engine()->ApplyRecovered(groups));
+  SKEENA_RETURN_NOT_OK(mem_->engine()->ApplyRecovered(std::move(groups)));
   groups = {};
   SKEENA_RETURN_NOT_OK(
       ReadCommittedGroups(stor_->Log()->device(), torn, &groups));

@@ -329,18 +329,32 @@ void LogManager::WakeIdleFlusher() {
   if (flusher_idle_) flusher_cv_.NotifyOne();
 }
 
-void LogManager::TryLeadFlush() {
+void LogManager::TryLeadFlush(Lsn lsn) {
   // A pass already on the device covers us or leaves our bytes staged for
   // the next one: never queue behind it.
   if (!flush_mu_.TryLock()) return;
-  const uint64_t now = SteadyNowNs();
-  if (now >= next_pass_ns_) (void)PacedPassLocked(now);
+  if (DurableLsn() < lsn) {
+    uint64_t now = SteadyNowNs();
+    // Within one period of the floor: spin it out and run the pass here,
+    // so a saturated log's passes start at the floor, not after a timed
+    // sleep and its slack. A longer wait is a failing device's back-off,
+    // which the caller parks through.
+    constexpr uint64_t kPeriodNs =
+        std::chrono::nanoseconds(kMinFlushPeriod).count();
+    if (now < next_pass_ns_ && next_pass_ns_ - now <= kPeriodNs) {
+      do {
+        CpuRelax();
+        now = SteadyNowNs();
+      } while (now < next_pass_ns_);
+    }
+    if (now >= next_pass_ns_) (void)PacedPassLocked(now);
+  }
   flush_mu_.Unlock();
 }
 
 bool LogManager::WaitDurable(Lsn lsn) {
   if (DurableLsn() >= lsn) return false;
-  if (options_.auto_flush) TryLeadFlush();
+  if (options_.auto_flush) TryLeadFlush(lsn);
   if (SpinUntil([&] { return DurableLsn() >= lsn; })) return false;
   // About to park: make sure a pass will cover us. A committer-led pass in
   // flight may have walked the ring before our bytes were complete, and
@@ -360,6 +374,9 @@ bool LogManager::WaitDurable(Lsn lsn) {
       parked |= ParkingLot::Park(durable_seq_, seq);
     }
     durable_waiters_.fetch_sub(1, std::memory_order_relaxed);
+    // Woken by a pass that walked the ring before our bytes landed: lead
+    // the next one rather than park again for the flusher.
+    if (options_.auto_flush && DurableLsn() < lsn) TryLeadFlush(lsn);
   }
 }
 
@@ -394,7 +411,7 @@ void LogManager::FlusherLoop() {
     if (wait_ns != 0) {
       // Within the period floor, or backing off a failing device. Commits
       // arriving meanwhile stage into the next batch, and a committer that
-      // finds the floor passed first flushes it itself.
+      // waits on them spins to the floor and flushes it itself.
       MutexLock lock(flusher_mu_);
       flusher_cv_.WaitFor(flusher_mu_, std::chrono::nanoseconds(wait_ns),
                           stopping);

@@ -43,15 +43,18 @@ uint32_t LogFrameCheck(std::span<const uint8_t> payload);
 /// released to the client.
 ///
 /// Committer-led flushing: a committer whose LSN is not yet durable tries
-/// flush_mu_ once. If it gets the lock and the period floor (below) has
-/// passed, it runs the pass on its own thread — no flusher wake-up, no
-/// park and wake of its own, and a committer waiting on both logs flushes
-/// them in phase. Otherwise a pass is already on the device or just ran,
-/// and the committer spins, then parks, until an advance covers it; before
-/// parking it wakes the flusher if that sleeps idle. The background
-/// flusher stays as the backstop: it flushes what parked committers left
-/// staged once the floor passes, retries after device errors, and drains
-/// an idle log.
+/// flush_mu_ once. If it gets the lock and the period floor (below) is at
+/// most one period ahead, it spins out the rest of the period and runs the
+/// pass on its own thread — no flusher wake-up, no timed sleep, no park
+/// and wake of its own, and a committer waiting on both logs flushes them
+/// in phase. Otherwise a pass is already on the device (or a failing
+/// device is being backed off), and the committer spins, then parks,
+/// until an advance covers it; before parking it wakes the flusher if that
+/// sleeps idle. A parked committer woken by a pass that did not cover it
+/// (its bytes landed after the pass walked the ring) tries to lead the
+/// next pass before it parks again. The background flusher stays as the
+/// backstop: it flushes what no committer waits on once the floor passes,
+/// retries after device errors, and drains an idle log.
 ///
 /// Group commit is self-clocked: there is no batch window — whatever
 /// arrives while one pass is on the device forms the next batch, so the
@@ -63,14 +66,15 @@ uint32_t LogFrameCheck(std::span<const uint8_t> payload);
 /// flush_mu_-guarded "next pass not before" stamp, set kMinFlushPeriod
 /// after the start of each pass that advanced durability, and
 /// kIdleBackstop after a pass that failed (so neither the flusher nor a
-/// crowd of committers hammers a failing device). On a device that syncs
-/// fast (memory, tmpfs) passes would otherwise run per commit, and commit
-/// throughput would follow how quickly the scheduler turns threads around
-/// (on a 4-vCPU VM it spread ~7 % between runs and fell ~30 % with one CPU
-/// taken away). With the floor, a saturated log flushes on a steady period
-/// and each flush releases every commit that arrived during it. A device
-/// whose flush takes longer than the floor never sees it. Explicit Flush()
-/// calls are not paced.
+/// crowd of committers hammers a failing device; nobody spins through
+/// that wait). On a device that syncs fast (memory, tmpfs) passes would
+/// otherwise run per commit, and commit throughput would follow how
+/// quickly the scheduler turns threads around (on a 4-vCPU VM it spread
+/// ~7 % between runs and fell ~30 % with one CPU taken away). With the
+/// floor, a saturated log flushes once per period, each pass led at the
+/// floor by a waiting committer, and each flush releases every commit that
+/// arrived during the period. A device whose flush takes longer than the
+/// floor never sees it. Explicit Flush() calls are not paced.
 ///
 /// Append fast path (no mutex, no shared writes beyond three atomics):
 ///  1. one fetch_add on the reservation word claims [lsn-len, lsn);
@@ -94,9 +98,10 @@ uint32_t LogFrameCheck(std::span<const uint8_t> payload);
 class LogManager {
  public:
   /// Shortest time between the starts of two paced flushes (see the class
-  /// comment). The flusher sleeps off the rest of it, so when no committer
-  /// leads, the kernel's timer slack (50 us by default on Linux) stretches
-  /// the period further.
+  /// comment). A waiting committer spins off the rest of it and leads the
+  /// pass at the floor, so a saturated log flushes every 50 us. Only when
+  /// no committer waits does the flusher sleep it off, and then the
+  /// kernel's timer slack (50 us by default on Linux) stretches it.
   static constexpr std::chrono::microseconds kMinFlushPeriod{50};
   /// Pause between paced passes after a device error, and the flusher's
   /// idle wake-up period.
@@ -166,7 +171,8 @@ class LogManager {
   }
 
   /// Blocks until `lsn` is durable. First tries to lead a flush pass (see
-  /// the class comment; never with auto_flush off), then spins and parks on
+  /// the class comment; never with auto_flush off, and again after each
+  /// wake that left `lsn` short), then spins and parks on
   /// the durable sequence word: each durability advance is published with
   /// one bump and at most one batched unpark for all waiters (none when
   /// nobody parked), so one flush releases every commit it covers with a
@@ -216,9 +222,9 @@ class LogManager {
   /// A flush round under the period floor: the caller has checked that
   /// `now_ns` is past next_pass_ns_. Moves the floor on.
   Status PacedPassLocked(uint64_t now_ns) SKEENA_REQUIRES(flush_mu_);
-  /// Committer-led flushing: one try-lock; runs a paced pass if the floor
-  /// has passed.
-  void TryLeadFlush();
+  /// Committer-led flushing: one try-lock; unless `lsn` is already durable,
+  /// spins out a floor at most one period ahead and runs a paced pass.
+  void TryLeadFlush(Lsn lsn);
   /// Wakes the flusher if it sleeps at its idle wait (a committer that is
   /// about to park calls this, so its staged bytes always get a pass).
   void WakeIdleFlusher();

@@ -405,18 +405,18 @@ Timestamp MemEngine::ReplicationHorizon() const {
   return committing_.MinActive(clock + 1) - 1;
 }
 
-Status MemEngine::ApplyReplicated(const CommittedGroup& group) {
+Status MemEngine::ApplyReplicated(CommittedGroup&& group) {
   // Resolve target records first, deduplicating by record (the spin latch
   // is not reentrant); the last image wins, matching the primary's
   // write-set semantics.
   struct Pending {
     Record* rec;
-    const LogRecord* r;
+    LogRecord* r;
   };
   const Timestamp cts = group.cts;
   std::vector<Pending> pend;
   pend.reserve(group.records.size());
-  for (const LogRecord& r : group.records) {
+  for (LogRecord& r : group.records) {
     MemTable* t = GetTable(r.table);
     if (t == nullptr) {
       return Status::Corruption("replicated record references unknown table");
@@ -453,9 +453,10 @@ Status MemEngine::ApplyReplicated(const CommittedGroup& group) {
   Timestamp floor = gc_floor_.load(std::memory_order_acquire);
   std::vector<Version*> garbage;
   for (const Pending& p : pend) {
-    // relaxed-ok: the record latch is held (see CommitInternal).
+    // relaxed-ok: the record latch is held (see CommitInternal). The image
+    // is re-logged above, so the version takes it over.
     auto* v = new Version{cts, p.rec->head.load(std::memory_order_relaxed),
-                          p.r->tombstone, p.r->value};
+                          p.r->tombstone, std::move(p.r->value)};
     p.rec->head.store(v, std::memory_order_release);
     if (Version* g = PruneVersions(v, floor)) garbage.push_back(g);
   }
@@ -467,10 +468,10 @@ Status MemEngine::ApplyReplicated(const CommittedGroup& group) {
   return Status::OK();
 }
 
-Status MemEngine::ApplyRecovered(const std::vector<CommittedGroup>& groups) {
+Status MemEngine::ApplyRecovered(std::vector<CommittedGroup>&& groups) {
   Timestamp max_cts = 1;
-  for (const CommittedGroup& g : groups) {
-    for (const LogRecord& rec : g.records) {
+  for (CommittedGroup& g : groups) {
+    for (LogRecord& rec : g.records) {
       MemTable* t = GetTable(rec.table);
       if (t == nullptr) {
         return Status::Corruption("memdb log references unknown table");
@@ -478,7 +479,7 @@ Status MemEngine::ApplyRecovered(const std::vector<CommittedGroup>& groups) {
       Record* r = t->FindOrCreate(rec.key);
       // relaxed-ok: single-threaded recovery replay; no concurrent reads.
       auto* v = new Version{g.cts, r->head.load(std::memory_order_relaxed),
-                            rec.tombstone, rec.value};
+                            rec.tombstone, std::move(rec.value)};
       r->head.store(v, std::memory_order_release);
     }
     max_cts = std::max(max_cts, g.cts);

@@ -142,8 +142,9 @@ class MemEngine {
   /// write images at `group.cts`, re-logs them locally, and advances the
   /// clock to at least that. Must be called in ascending-cts order (single
   /// applier thread); concurrent read-only transactions are safe — installs
-  /// take the record latches like a primary post-commit.
-  Status ApplyReplicated(const CommittedGroup& group);
+  /// take the record latches like a primary post-commit. The images move
+  /// into the new versions, so `group` is left without its values.
+  Status ApplyReplicated(CommittedGroup&& group);
 
   // ------------------------------------------------------------- misc
   LogManager* log() const { return log_.get(); }
@@ -175,8 +176,10 @@ class MemEngine {
   /// Recovery's apply step: installs `groups` (this engine's log read by
   /// ReadCommittedGroups, in commit-timestamp order) into the (already
   /// created) tables, then sets the clock and the GC floor to the newest
-  /// commit. Single-threaded, before the engine serves transactions.
-  Status ApplyRecovered(const std::vector<CommittedGroup>& groups);
+  /// commit. Single-threaded, before the engine serves transactions. The
+  /// images move into the new versions rather than being copied, so each
+  /// row image is held once.
+  Status ApplyRecovered(std::vector<CommittedGroup>&& groups);
 
   struct Stats {
     uint64_t commits = 0;

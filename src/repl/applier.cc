@@ -217,8 +217,10 @@ Status Replica::HandleCsr(const server::ReplCsrBatch& batch) {
   return Status::OK();
 }
 
-Status Replica::ApplyGroup(int e, const CommittedGroup& group) {
-  if (e == kMemIndex) return db_->mem()->engine()->ApplyReplicated(group);
+Status Replica::ApplyGroup(int e, CommittedGroup&& group) {
+  if (e == kMemIndex) {
+    return db_->mem()->engine()->ApplyReplicated(std::move(group));
+  }
   stordb::StorEngine* stor = db_->stor()->engine();
   auto txn = stor->Begin(IsolationLevel::kSnapshot, kMaxTimestamp);
   if (!txn) return Status::IOError("replica stordb Begin failed");
@@ -264,7 +266,7 @@ Status Replica::HandleWatermark(const server::ReplWatermark& wm,
   Status s = Status::OK();
   for (int e = 0; e < kNumEngines && s.ok(); ++e) {
     for (size_t i = 0; i < batch[e].size() && s.ok(); ++i) {
-      s = ApplyGroup(e, batch[e][i]);
+      s = ApplyGroup(e, std::move(batch[e][i]));
     }
   }
   if (s.ok()) {

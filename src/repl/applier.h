@@ -99,7 +99,7 @@ class Replica {
   Status HandleLog(const server::ReplLogBatch& batch);
   Status HandleCsr(const server::ReplCsrBatch& batch);
   Status HandleWatermark(const server::ReplWatermark& wm, uint64_t* rid);
-  Status ApplyGroup(int e, const CommittedGroup& group);
+  Status ApplyGroup(int e, CommittedGroup&& group);
   /// Clamp (anchor_h, other_h) against gate_mappings_ and publish.
   void RecomputeGate(Timestamp anchor_h, Timestamp other_h);
   /// WaitCaughtUp's predicate (out-of-line so TSA sees the lock).

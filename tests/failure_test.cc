@@ -3,6 +3,7 @@
 // the paths that don't touch the failed device.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <chrono>
@@ -44,6 +45,17 @@ class FlakyDevice : public StorageDevice {
  private:
   MemDevice inner_;
 };
+
+/// User plus system CPU time of the whole process so far, in ms.
+double ProcessCpuMs() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  auto ms = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1e3 +
+           static_cast<double>(tv.tv_usec) / 1e3;
+  };
+  return ms(ru.ru_utime) + ms(ru.ru_stime);
+}
 
 TEST(FailureTest, BufferPoolMissSurfacesReadError) {
   auto flaky = std::make_unique<FlakyDevice>();
@@ -163,21 +175,30 @@ TEST(FailureTest, CommitterLedFlushBacksOffWhileDeviceFails) {
   dev->fail_writes.store(true);
   LogManager log(std::move(flaky));
 
-  constexpr int kCommitters = 4;
+  // Committers keep arriving across a 100 ms window, one per back-off
+  // period, as they would at a live server: each finds the next retry up
+  // to kIdleBackstop ahead.
+  constexpr int kCommitters = 20;
   std::atomic<int> acked{0};
   std::vector<std::thread> committers;
+  const double cpu_before = ProcessCpuMs();
   for (int i = 0; i < kCommitters; ++i) {
     committers.emplace_back([&] {
       uint8_t payload[32] = {};
       log.WaitDurable(log.Append(payload));
       acked.fetch_add(1);
     });
+    std::this_thread::sleep_for(LogManager::kIdleBackstop);
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const double cpu_ms = ProcessCpuMs() - cpu_before;
   EXPECT_EQ(acked.load(), 0) << "commit acked while its log flush fails";
   // Same bound as FlusherBacksOffWhileDeviceFails.
   EXPECT_LT(dev->writes_attempted.load(), 200u)
       << "committers retried a failing device without backing off";
+  // A committer spins out at most one flush period, never the back-off: a
+  // spin through it would burn a core for most of the window.
+  EXPECT_LT(cpu_ms, 50.0)
+      << "committers spun through the failing device's back-off";
 
   dev->fail_writes.store(false);
   for (auto& th : committers) th.join();  // a retry after healing releases all

@@ -426,6 +426,21 @@ TEST(LogManagerTest, FlushesStartAtLeastOnePeriodApartOnFastDevice) {
   EXPECT_GE(log.DurableLsn(), log.CurrentLsn());
 }
 
+TEST(LogManagerTest, SequentialCommitsLeadAtTheFloor) {
+  // Back-to-back commits on a fast device each find the floor less than a
+  // period ahead: the committer spins it out and leads the pass itself, so
+  // it neither parks nor waits for the flusher's timed sleep.
+  LogManager log(std::make_unique<MemDevice>());
+  constexpr int kCommits = 200;
+  int parks = 0;
+  for (int i = 0; i < kCommits; ++i) {
+    if (log.WaitDurable(log.Append(Bytes("commit-record")))) ++parks;
+  }
+  EXPECT_LE(parks, kCommits / 10)
+      << "a lone committer parked instead of leading the pass at the floor";
+  EXPECT_GE(log.DurableLsn(), log.CurrentLsn());
+}
+
 // ------------------------------------------------- SegmentedLogDevice
 
 TEST(SegmentedDeviceTest, RecordsSplitAcrossSegmentBoundaries) {

@@ -414,7 +414,7 @@ TEST_F(MemEngineTest, RecoverReplaysCommittedOnly) {
     std::vector<CommittedGroup> groups;
     ASSERT_TRUE(
         ReadCommittedGroups(recovered.log()->device(), {}, &groups).ok());
-    ASSERT_TRUE(recovered.ApplyRecovered(groups).ok());
+    ASSERT_TRUE(recovered.ApplyRecovered(std::move(groups)).ok());
     auto reader = recovered.Begin(IsolationLevel::kSnapshot);
     std::string v;
     ASSERT_TRUE(recovered.Get(reader.get(), t2, MakeKey(1), &v).ok());

@@ -108,6 +108,24 @@ TEST_F(PipelineTest, StressManyWaitersAgainstDurableAdvances) {
 #endif
 }
 
+// A committer waiting on both logs leads log 0's pass at its floor, then
+// log 1's, so back-to-back cross-engine commits almost never park.
+TEST_F(PipelineTest, SequentialCommitsLeadBothLogsAtTheFloor) {
+  auto log0 = MakeLog(true);
+  auto log1 = MakeLog(true);
+  CommitPipeline pipeline(log0.get(), log1.get());
+  constexpr uint64_t kCommits = 200;
+  uint8_t payload[8] = {};
+  for (uint64_t i = 0; i < kCommits; ++i) {
+    Lsn lsns[2] = {log0->Append(payload), log1->Append(payload)};
+    pipeline.WaitDurable(lsns);
+  }
+  CommitPipeline::Stats s = pipeline.stats();
+  EXPECT_EQ(s.completed, kCommits);
+  EXPECT_LE(s.waiter_parks, kCommits / 10)
+      << "a lone committer parked instead of leading the passes at the floor";
+}
+
 TEST_F(PipelineTest, StatsAccountSpinAndParkOutcomes) {
   auto log0 = MakeLog(false);  // manual flush: waits must park
   auto log1 = MakeLog(false);
