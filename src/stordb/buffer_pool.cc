@@ -37,6 +37,9 @@ void PageGuard::UnlockExclusive() {
   f->dirty.store(true, std::memory_order_release);
   f->latch.Unlock();
 }
+void PageGuard::UnlockExclusiveClean() {
+  pool_->frames_[frame_idx_]->latch.Unlock();
+}
 
 BufferPool::BufferPool(size_t num_pages, DeviceResolver resolver,
                        size_t num_shards)
@@ -73,14 +76,14 @@ Result<PageGuard> BufferPool::NewPage(PageId pid) {
   return FetchInternal(pid, /*create_new=*/true);
 }
 
-void BufferPool::PinMapped(Frame* f) {
+BufferPool::FrameState BufferPool::PinMapped(Frame* f) {
   uint64_t w = f->word.load(std::memory_order_relaxed);
   for (;;) {
     assert(WordState(w) == FrameState::kLoading ||
            WordState(w) == FrameState::kResident);
     if (f->word.compare_exchange_weak(w, w + 1, std::memory_order_acq_rel,
                                       std::memory_order_relaxed)) {
-      return;
+      return WordState(w);
     }
   }
 }
@@ -118,9 +121,18 @@ Result<PageGuard> BufferPool::FetchInternal(PageId pid, bool create_new) {
     if (it != shard.table.end()) {
       size_t idx = it->second;
       Frame* f = frames_[idx].get();
-      PinMapped(f);
+      FrameState pinned_state = PinMapped(f);
       f->referenced = true;
       shard.mu.Unlock();
+      if (pinned_state == FrameState::kResident) {
+        // Resident and mapped to `pid` under the shard mutex, and our pin
+        // now blocks every transition out of kResident (a claim needs zero
+        // pins), so the frame is valid without the latch round trip. The
+        // pin CAS acquired the loader's kLoading -> kResident release, so
+        // the loaded bytes are visible.
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        return PageGuard(this, idx, f->data);
+      }
       // Wait out a concurrent loader (it holds the exclusive latch for the
       // duration of its I/O), then revalidate: a failed load — or a failed
       // write-back restoring the victim's old identity — unmaps the frame

@@ -60,6 +60,9 @@ class PageGuard {
   /// acquires the latch (or claims the frame once the pin drops) observes
   /// it.
   void UnlockExclusive() SKEENA_NO_THREAD_SAFETY_ANALYSIS;
+  /// Releases the exclusive latch without marking the page dirty, for a
+  /// holder that decided not to write.
+  void UnlockExclusiveClean() SKEENA_NO_THREAD_SAFETY_ANALYSIS;
 
  private:
   friend class BufferPool;
@@ -207,7 +210,8 @@ class BufferPool {
 
   /// Pins a frame found through the shard table (caller holds the shard
   /// mutex, so the frame is kLoading or kResident and cannot be claimed).
-  static void PinMapped(Frame* f);
+  /// Returns the state the pin observed.
+  static FrameState PinMapped(Frame* f);
   /// CAS transition `from` -> `to` preserving the pin count. The caller
   /// must own the frame (claimed it, or holds it in kLoading/kEvicting).
   static void TransitionState(Frame* f, FrameState from, FrameState to);

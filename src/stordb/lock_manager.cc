@@ -8,6 +8,16 @@ namespace skeena::stordb {
 LockManager::LockManager(Options options)
     : options_(options), buckets_(kNumBuckets) {}
 
+LockManager::LockQueue& LockManager::QueueFor(Bucket& bucket, Rid rid) {
+  auto it = bucket.queues.find(rid);
+  if (it != bucket.queues.end()) return it->second;
+  if (bucket.spare.empty()) return bucket.queues[rid];
+  QueueMap::node_type node = std::move(bucket.spare.back());
+  bucket.spare.pop_back();
+  node.key() = rid;
+  return bucket.queues.insert(std::move(node)).position->second;
+}
+
 bool LockManager::CanGrant(const LockQueue& q, uint64_t txn_id, LockMode mode,
                            bool is_upgrade) {
   if (is_upgrade) {
@@ -55,7 +65,7 @@ bool LockManager::WouldDeadlock(uint64_t waiter) {
 Status LockManager::Lock(uint64_t txn_id, Rid rid, LockMode mode) {
   Bucket& bucket = BucketFor(rid);
   MutexLock lk(bucket.mu);
-  LockQueue& q = bucket.queues[rid];
+  LockQueue& q = QueueFor(bucket, rid);
 
   bool upgrade = false;
   for (Holder& h : q.holders) {
@@ -76,7 +86,8 @@ Status LockManager::Lock(uint64_t txn_id, Rid rid, LockMode mode) {
     }
     // Upgrades jump the queue: they already hold S and would otherwise
     // deadlock with ordinary waiters behind them.
-    q.waiters.push_front(Waiter{txn_id, mode, /*upgrade=*/true});
+    q.waiters.insert(q.waiters.begin(),
+                     Waiter{txn_id, mode, /*upgrade=*/true});
   } else {
     if (q.waiters.empty() && CanGrant(q, txn_id, mode, false)) {
       q.holders.push_back(Holder{txn_id, mode});
@@ -171,11 +182,15 @@ void LockManager::ReleaseAll(uint64_t txn_id, const std::vector<Rid>& rids) {
       } else {
         q.holders.push_back(Holder{w.txn_id, w.mode});
       }
-      q.waiters.pop_front();
+      q.waiters.erase(q.waiters.begin());
       promoted = true;
     }
     if (q.holders.empty() && q.waiters.empty()) {
-      bucket.queues.erase(it);
+      if (bucket.spare.size() < kSpareNodesPerBucket) {
+        bucket.spare.push_back(bucket.queues.extract(it));
+      } else {
+        bucket.queues.erase(it);
+      }
     }
     if (promoted) bucket.cv.NotifyAll();
   }

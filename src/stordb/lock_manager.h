@@ -2,7 +2,6 @@
 #define SKEENA_STORDB_LOCK_MANAGER_H_
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -28,6 +27,10 @@ class LockManager {
  public:
   /// Lock-table hash buckets (one mutex each).
   static constexpr size_t kNumBuckets = 256;
+  /// Emptied queue nodes a bucket keeps for reuse. Steady-state locking
+  /// then allocates nothing: a new queue takes a spare node (with its
+  /// holder and waiter vectors' capacity) instead of a fresh map node.
+  static constexpr size_t kSpareNodesPerBucket = 8;
 
   struct Options {
     /// Waiting longer than this aborts the requester (InnoDB's
@@ -69,12 +72,17 @@ class LockManager {
   };
   struct LockQueue {
     std::vector<Holder> holders;
-    std::deque<Waiter> waiters;
+    // FIFO: new waiters append, upgrades insert at the front, grants pop
+    // the front. Queues are short, so vector shifts beat a deque's blocks.
+    std::vector<Waiter> waiters;
   };
+  using QueueMap = std::unordered_map<Rid, LockQueue>;
   struct Bucket {
     mutable Mutex mu;
     CondVar cv;
-    std::unordered_map<Rid, LockQueue> queues SKEENA_GUARDED_BY(mu);
+    QueueMap queues SKEENA_GUARDED_BY(mu);
+    // Emptied nodes extracted from `queues`, cleared but keeping capacity.
+    std::vector<QueueMap::node_type> spare SKEENA_GUARDED_BY(mu);
   };
 
   Bucket& BucketFor(Rid rid) {
@@ -83,6 +91,10 @@ class LockManager {
   const Bucket& BucketFor(Rid rid) const {
     return buckets_[std::hash<Rid>{}(rid) % buckets_.size()];
   }
+
+  // The queue for `rid`, reusing a spare node when the rid has none.
+  static LockQueue& QueueFor(Bucket& bucket, Rid rid)
+      SKEENA_REQUIRES(bucket.mu);
 
   // Grant check: can (txn, mode) be granted given current holders/waiters?
   static bool CanGrant(const LockQueue& q, uint64_t txn_id, LockMode mode,

@@ -37,9 +37,10 @@ inline uint16_t RidSlot(Rid rid) { return static_cast<uint16_t>(rid); }
 ///   [flags u8][tid u64][roll_ptr u64][vlen u32][key 16B][value max_value]
 ///
 /// `roll_ptr` is an in-memory pointer to the newest UndoRecord for the row
-/// (InnoDB keeps undo in rollback segments; we keep it heap-resident, see
-/// DESIGN.md). It is only meaningful within the current process: recovery
-/// rebuilds pages from the redo log, never from old page images.
+/// (InnoDB keeps undo in rollback segments; we keep it in the writing
+/// transaction's in-memory UndoArena, see DESIGN.md). It is only
+/// meaningful within the current process: recovery rebuilds pages from the
+/// redo log, never from old page images.
 struct RowHeader {
   static constexpr uint8_t kFlagInUse = 1;
   static constexpr uint8_t kFlagDeleted = 2;

@@ -39,7 +39,7 @@ StorEngine::~StorEngine() {
   // Undo batches still waiting for the purge floor are freed directly: no
   // reader is left, and the epoch manager (possibly database-owned and
   // already ahead of us in destruction order) must not be touched here.
-  for (const PendingUndos& p : pending_undos_) DeleteUndoChain(p.head);
+  for (const PendingUndos& p : pending_undos_) UndoArena::Free(p.batch.head);
   pending_undos_.clear();
 }
 
@@ -148,63 +148,53 @@ Rid StorEngine::AllocateSlot(StorTable* t) {
   return MakeRid(t->id, page_no, slot);
 }
 
-Status StorEngine::ReadRowRaw(StorTable* t, Rid rid, RowHeader* hdr,
-                              std::string* value) {
+Status StorEngine::ReadVisibleRow(StorTxn* txn, StorTable* t, Rid rid,
+                                  std::string* value, bool* found) {
   auto page = pool_->FetchPage(MakePageId(t->id, RidPage(rid)));
   if (!page.ok()) return page.status();
   PageGuard& guard = page.value();
   guard.LockShared();
   const uint8_t* slot =
       guard.data() + SlotOffset(RidSlot(rid), t->max_value_size);
-  DecodeRowHeader(slot, hdr, nullptr);
-  if (value != nullptr && hdr->vlen > 0 &&
-      hdr->vlen <= t->max_value_size) {
-    value->assign(reinterpret_cast<const char*>(RowValuePtr(slot)),
-                  hdr->vlen);
-  } else if (value != nullptr) {
-    value->clear();
-  }
-  guard.UnlockShared();
-  return Status::OK();
-}
-
-Status StorEngine::ReadVisibleRow(StorTxn* txn, StorTable* t, Rid rid,
-                                  std::string* value, bool* found) {
   RowHeader hdr;
-  std::string cur;
-  SKEENA_RETURN_NOT_OK(ReadRowRaw(t, rid, &hdr, &cur));
-
-  uint64_t tid = hdr.tid;
+  DecodeRowHeader(slot, &hdr, nullptr);
   bool deleted = hdr.deleted() || !hdr.in_use();
-  UndoRecord* roll = reinterpret_cast<UndoRecord*>(hdr.roll_ptr);
-  std::string val = std::move(cur);
-
-  bool own = txn->tid_ != 0 && tid == txn->tid_;
-  if (!own) {
-    // Pin for the roll-chain walk: batches are retired through the epoch
-    // manager once the purge floor passes them, and the pin keeps a batch
-    // we may be walking through mapped until we unpin. Pinned AFTER the
-    // page fetch (which can block on device I/O — an EpochGuard must not
-    // be held across that); the visibility wait inside Visible() for a
-    // pre-committed writer is bounded (its post-commit is unconditional).
-    EpochGuard guard(*epoch_);
-    while (!trx_sys_.Visible(txn->view_, tid)) {
-      if (roll == nullptr) {
-        *found = false;
-        return Status::OK();
-      }
-      tid = roll->old_tid;
-      val = roll->old_value;
-      deleted = roll->old_deleted;
-      roll = roll->old_roll;
+  // Visible() only spins on a pre-committed writer whose commit is already
+  // unconditional, and finishing a commit takes no page latch, so checking
+  // the head version under the shared latch cannot wait on this page.
+  bool own = txn->tid_ != 0 && hdr.tid == txn->tid_;
+  if (own || trx_sys_.Visible(txn->view_, hdr.tid)) {
+    // The common case: copy the current image straight into the caller's
+    // buffer (its capacity is reused) and skip the roll chain.
+    if (deleted) {
+      // NotFound leaves the caller's buffer alone.
+    } else if (hdr.vlen <= t->max_value_size) {
+      value->assign(reinterpret_cast<const char*>(RowValuePtr(slot)),
+                    hdr.vlen);
+    } else {
+      value->clear();
     }
+    guard.UnlockShared();
+    *found = !deleted;
+    return Status::OK();
   }
-  if (deleted) {
-    *found = false;
-  } else {
-    *found = true;
-    *value = std::move(val);
+  const UndoRecord* roll = reinterpret_cast<const UndoRecord*>(hdr.roll_ptr);
+  guard.UnlockShared();
+
+  // Pin for the roll-chain walk: batches are retired through the epoch
+  // manager once the purge floor passes them, and the pin keeps a batch
+  // we may be walking through mapped until we unpin. Pinned AFTER the
+  // page fetch (which can block on device I/O — an EpochGuard must not be
+  // held across that); the visibility wait inside Visible() for a
+  // pre-committed writer is bounded (its post-commit is unconditional).
+  EpochGuard epoch_guard(*epoch_);
+  for (; roll != nullptr; roll = roll->old_roll) {
+    if (!trx_sys_.Visible(txn->view_, roll->old_tid)) continue;
+    *found = !roll->old_deleted;
+    if (*found) value->assign(roll->old_value);
+    return Status::OK();
   }
+  *found = false;
   return Status::OK();
 }
 
@@ -238,6 +228,7 @@ Status StorEngine::Scan(
   SKEENA_RETURN_NOT_OK(EnsureView(txn));
   size_t delivered = 0;
   Status status;
+  std::string value;  // one buffer for every row the scan delivers
   t->index.ScanFrom(lower, [&](const Key& key, uint64_t ridv) {
     Rid rid = ridv;
     if (txn->isolation() == IsolationLevel::kSerializable) {
@@ -249,7 +240,6 @@ Status StorEngine::Scan(
       txn->locks_.push_back(rid);
     }
     bool found = false;
-    std::string value;
     Status s = ReadVisibleRow(txn, t, rid, &value, &found);
     if (!s.ok()) {
       status = s;
@@ -264,50 +254,83 @@ Status StorEngine::Scan(
   return status;
 }
 
-Status StorEngine::InstallRowVersion(StorTxn* txn, StorTable* t, Rid rid,
-                                     const Key& key, std::string_view value,
-                                     bool tombstone, bool fresh_insert) {
-  auto undo = std::make_unique<UndoRecord>();
+void StorEngine::InstallRowVersion(StorTxn* txn, StorTable* t, Rid rid,
+                                   uint8_t* slot, const Key& key,
+                                   std::string_view value, bool tombstone,
+                                   bool fresh_insert) {
+  UndoArena& arena = txn->arena_;
+  UndoRecord* undo = arena.NewUndo();
   undo->rid = rid;
   if (fresh_insert) {
-    undo->old_tid = 0;
-    undo->old_roll = nullptr;
     undo->old_deleted = true;
-    undo->was_insert = true;
   } else {
     RowHeader old_hdr;
-    std::string old_value;
-    SKEENA_RETURN_NOT_OK(ReadRowRaw(t, rid, &old_hdr, &old_value));
+    DecodeRowHeader(slot, &old_hdr, nullptr);
     undo->old_tid = old_hdr.tid;
     undo->old_roll = reinterpret_cast<UndoRecord*>(old_hdr.roll_ptr);
-    undo->old_value = std::move(old_value);
     undo->old_deleted = old_hdr.deleted() || !old_hdr.in_use();
+    if (old_hdr.vlen <= t->max_value_size) {
+      undo->old_value = arena.Copy(std::string_view(
+          reinterpret_cast<const char*>(RowValuePtr(slot)), old_hdr.vlen));
+    }
   }
-  // Ownership moves into the transaction's intrusive batch: one chain
-  // head per txn, no per-txn container allocation on the commit path.
-  UndoRecord* uptr = undo.release();
-  uptr->next_in_txn = txn->undo_head_;
-  txn->undo_head_ = uptr;
-  ++txn->undo_count_;
+  undo->next_in_txn = txn->undo_head_;
+  txn->undo_head_ = undo;
 
-  auto page = pool_->FetchPage(MakePageId(t->id, RidPage(rid)));
-  if (!page.ok()) return page.status();
-  PageGuard& guard = page.value();
-  guard.LockExclusive();
-  uint8_t* slot = guard.data() + SlotOffset(RidSlot(rid), t->max_value_size);
   RowHeader hdr;
   hdr.flags = RowHeader::kFlagInUse |
               (tombstone ? RowHeader::kFlagDeleted : 0);
   hdr.tid = txn->tid_;
-  hdr.roll_ptr = reinterpret_cast<uint64_t>(uptr);
+  hdr.roll_ptr = reinterpret_cast<uint64_t>(undo);
   hdr.vlen = static_cast<uint32_t>(value.size());
   EncodeRowHeader(slot, hdr, key);
   if (!value.empty()) {
     std::memcpy(RowValuePtr(slot), value.data(), value.size());
   }
-  guard.UnlockExclusive();
 
-  txn->redo_.push_back(RedoEntry{t->id, key, std::string(value), tombstone});
+  RedoEntry* redo = arena.NewRedo();
+  redo->table = t->id;
+  redo->key = key;
+  redo->value = arena.Copy(value);
+  redo->tombstone = tombstone;
+  if (txn->redo_last_ == nullptr) {
+    txn->redo_head_ = redo;
+  } else {
+    txn->redo_last_->next = redo;
+  }
+  txn->redo_last_ = redo;
+  ++txn->redo_count_;
+}
+
+Status StorEngine::WriteRowLatched(StorTxn* txn, StorTable* t, Rid rid,
+                                   const Key& key, std::string_view value,
+                                   bool tombstone, bool fresh_insert) {
+  auto page = pool_->FetchPage(MakePageId(t->id, RidPage(rid)));
+  if (!page.ok()) return page.status();
+  // Room for the undo record, the before-image, the redo entry and the
+  // after-image (plus alignment), so nothing mallocs under the latch.
+  txn->arena_.Reserve(sizeof(UndoRecord) + sizeof(RedoEntry) +
+                      t->max_value_size + value.size() + 32);
+  PageGuard& guard = page.value();
+  guard.LockExclusive();
+  uint8_t* slot = guard.data() + SlotOffset(RidSlot(rid), t->max_value_size);
+  if (!fresh_insert) {
+    // First-updater-wins under SI: the row's latest version must be
+    // visible (the prior writer has fully finished since we hold the X
+    // lock; if its commit is outside our snapshot, updating would
+    // overwrite data we cannot see).
+    RowHeader hdr;
+    DecodeRowHeader(slot, &hdr, nullptr);
+    if (hdr.tid != txn->tid_ && !trx_sys_.Visible(txn->view_, hdr.tid)) {
+      // Unlatch before aborting: Rollback latches the pages this
+      // transaction wrote, and this page may be one of them.
+      guard.UnlockExclusiveClean();
+      Abort(txn);
+      return Status::Aborted("write-write conflict");
+    }
+  }
+  InstallRowVersion(txn, t, rid, slot, key, value, tombstone, fresh_insert);
+  guard.UnlockExclusive();
   return Status::OK();
 }
 
@@ -329,18 +352,8 @@ Status StorEngine::WriteRow(StorTxn* txn, StorTable* t, const Key& key,
         return s;
       }
       txn->locks_.push_back(rid);
-      // First-updater-wins under SI: the row's latest version must be
-      // visible (the prior writer has fully finished since we hold the X
-      // lock; if its commit is outside our snapshot, updating would
-      // overwrite data we cannot see).
-      RowHeader hdr;
-      SKEENA_RETURN_NOT_OK(ReadRowRaw(t, rid, &hdr, nullptr));
-      if (hdr.tid != txn->tid_ && !trx_sys_.Visible(txn->view_, hdr.tid)) {
-        Abort(txn);
-        return Status::Aborted("write-write conflict");
-      }
-      return InstallRowVersion(txn, t, rid, key, value, tombstone,
-                               /*fresh_insert=*/false);
+      return WriteRowLatched(txn, t, rid, key, value, tombstone,
+                             /*fresh_insert=*/false);
     }
 
     // Insert path: claim a fresh slot, then publish it in the index.
@@ -352,8 +365,8 @@ Status StorEngine::WriteRow(StorTxn* txn, StorTable* t, const Key& key,
     }
     txn->locks_.push_back(rid);
     if (t->index.Insert(key, rid)) {
-      return InstallRowVersion(txn, t, rid, key, value, tombstone,
-                               /*fresh_insert=*/true);
+      return WriteRowLatched(txn, t, rid, key, value, tombstone,
+                             /*fresh_insert=*/true);
     }
     // Lost an insert race; retry through the update path.
   }
@@ -407,8 +420,8 @@ Lsn StorEngine::PostCommit(StorTxn* txn, GlobalTxnId gtid, bool cross_engine) {
 
   RedoWriter redo(log_.get(), gtid, txn->ser_no_);
   if (!txn->read_only()) {
-    for (const RedoEntry& r : txn->redo_) {
-      redo.Data(r.table, r.key, r.tombstone, r.value);
+    for (const RedoEntry* r = txn->redo_head_; r != nullptr; r = r->next) {
+      redo.Data(r->table, r->key, r->tombstone, r->value);
     }
     trx_sys_.MarkCommitted(txn->tid_);
   }
@@ -500,15 +513,18 @@ void StorEngine::FinishTxn(StorTxn* txn) {
 }
 
 namespace {
-// Typed deleter for a finished transaction's undo batch: one limbo entry
-// per transaction, walking the intrusive chain.
-void DeleteUndoBatchRaw(void* p) {
-  DeleteUndoChain(static_cast<UndoRecord*>(p));
+// Deleter for one purge round's ripe undo batches, concatenated into one
+// chunk list.
+void FreeUndoChunksRaw(void* p) {
+  UndoArena::Free(static_cast<UndoArena::Chunk*>(p));
 }
 }  // namespace
 
 void StorEngine::RetireUndos(StorTxn* txn) {
-  if (txn->undo_head_ == nullptr) return;
+  txn->undo_head_ = nullptr;
+  txn->redo_head_ = txn->redo_last_ = nullptr;
+  UndoArena::Batch batch = txn->arena_.Release();
+  if (batch.head == nullptr) return;
   // Undo images must outlive every view that may still walk them. A
   // committed transaction's undos are only walked by views older than its
   // commit order, so its ser_no is the right retire bound. An ABORTED
@@ -523,12 +539,8 @@ void StorEngine::RetireUndos(StorTxn* txn) {
   uint64_t ser = (committed && txn->ser_no_ != 0)
                      ? txn->ser_no_
                      : trx_sys_.LatestSerSnapshot() + 1;
-  UndoRecord* head = txn->undo_head_;
-  size_t count = txn->undo_count_;
-  txn->undo_head_ = nullptr;
-  txn->undo_count_ = 0;
   MutexLock guard(pending_mu_);
-  pending_undos_.push_back(PendingUndos{ser, head, count});
+  pending_undos_.push_back(PendingUndos{ser, batch});
 }
 
 void StorEngine::MaybePurge(uint64_t thread_commits) {
@@ -548,22 +560,33 @@ void StorEngine::MaybePurge(uint64_t thread_commits) {
   }
   AtomicFetchMax(purge_floor_, m, std::memory_order_seq_cst);
   trx_sys_.PurgeStates(m);
-  // Drain the ripe FIFO prefix into the epoch manager: O(ripe), not a scan
-  // of everything retained. A smaller ser stuck behind a larger head just
-  // waits for the floor to pass the head too — conservative, never unsafe.
-  std::vector<PendingUndos> ripe;
+  // Drain the ripe FIFO prefix: O(ripe), not a scan of everything
+  // retained. A smaller ser stuck behind a larger head just waits for the
+  // floor to pass the head too — conservative, never unsafe. The ripe
+  // batches' chunk lists are concatenated and retired as ONE limbo entry,
+  // so a round costs the epoch manager one RetireRaw (one limbo_mu_
+  // acquisition, one TryAdvance) however many transactions it reclaims.
+  UndoArena::Batch ripe;
   {
     MutexLock guard(pending_mu_);
     while (!pending_undos_.empty() && pending_undos_.front().ser < m) {
-      ripe.push_back(pending_undos_.front());
+      const UndoArena::Batch& b = pending_undos_.front().batch;
+      if (ripe.head == nullptr) {
+        ripe.head = b.head;
+      } else {
+        ripe.tail->next = b.head;
+      }
+      ripe.tail = b.tail;
+      ripe.undo_records += b.undo_records;
       pending_undos_.pop_front();
     }
   }
-  for (const PendingUndos& p : ripe) {
-    undo_purged_.Add(p.count);
-    epoch_->RetireRaw(p.head, &DeleteUndoBatchRaw);
+  if (ripe.head != nullptr) {
+    undo_purged_.Add(ripe.undo_records);
+    epoch_->RetireRaw(ripe.head, &FreeUndoChunksRaw);  // drives TryAdvance
+  } else {
+    epoch_->TryAdvance();
   }
-  epoch_->TryAdvance();
   purge_round_mu_.Unlock();
 }
 

@@ -199,11 +199,9 @@ class StorEngine {
   // Allocates a fresh slot for an insert.
   Rid AllocateSlot(StorTable* t);
 
-  // Reads a row's current version (header + value copy) under page latch.
-  Status ReadRowRaw(StorTable* t, Rid rid, RowHeader* hdr, std::string* value);
-
-  // Resolves the version of `rid` visible to txn's view; *found=false if no
-  // visible, non-deleted version exists.
+  // Resolves the version of `rid` visible to txn's view into *value (the
+  // caller's buffer, capacity reused); *found=false, and *value untouched,
+  // if no visible, non-deleted version exists.
   Status ReadVisibleRow(StorTxn* txn, StorTable* t, Rid rid,
                         std::string* value, bool* found);
 
@@ -211,10 +209,19 @@ class StorEngine {
   Status WriteRow(StorTxn* txn, StorTable* t, const Key& key,
                   std::string_view value, bool tombstone);
 
-  // Overwrites the row in place, pushing the before-image to undo.
-  Status InstallRowVersion(StorTxn* txn, StorTable* t, Rid rid, const Key& key,
-                           std::string_view value, bool tombstone,
-                           bool fresh_insert);
+  // Writes the locked row `rid` with one page pin: under one exclusive
+  // latch it checks the head version's visibility (updates only), then
+  // installs the new version. A write-write conflict unlatches and aborts.
+  Status WriteRowLatched(StorTxn* txn, StorTable* t, Rid rid, const Key& key,
+                         std::string_view value, bool tombstone,
+                         bool fresh_insert);
+
+  // Overwrites the latched `slot` in place, capturing its before-image as
+  // an undo record and buffering the after-image for redo, both in the
+  // transaction's arena.
+  void InstallRowVersion(StorTxn* txn, StorTable* t, Rid rid, uint8_t* slot,
+                         const Key& key, std::string_view value,
+                         bool tombstone, bool fresh_insert);
 
   void Rollback(StorTxn* txn);
   void FinishTxn(StorTxn* txn);
@@ -248,15 +255,17 @@ class StorEngine {
 
   // Finished transactions' undo batches, FIFO in finish order, each tagged
   // with its retire bound in ser space (commit: own ser_no; abort: the live
-  // counter — see RetireUndos). MaybePurge drains the ripe prefix into the
-  // epoch manager; out-of-order bounds (a smaller ser finishing after a
-  // larger one) just wait one extra round behind the head, which is always
-  // safe. This replaces the old retained-list std::partition scan.
+  // counter — see RetireUndos). MaybePurge drains the ripe prefix,
+  // concatenates the batches' chunk lists and retires them to the epoch
+  // manager as one entry; out-of-order bounds (a smaller ser finishing
+  // after a larger one) just wait one extra round behind the head, which
+  // is always safe.
   Mutex pending_mu_;
   struct PendingUndos {
     uint64_t ser;
-    UndoRecord* head;  // intrusive newest-first chain, Retire()d whole
-    size_t count;      // chain length (undo_purged diagnostic)
+    // The transaction's released arena: its chunk list plus its undo
+    // record count (the undo_purged diagnostic).
+    UndoArena::Batch batch;
   };
   std::deque<PendingUndos> pending_undos_ SKEENA_GUARDED_BY(pending_mu_);
 

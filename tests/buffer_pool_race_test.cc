@@ -55,6 +55,23 @@ class BlockingStorageDevice : public StorageDevice {
     write_released_ = true;
     gate_cv_.notify_all();
   }
+  /// The next ReadAt covering `offset` signals WaitUntilReadBlocked() and
+  /// parks until ReleaseReads() — a slow device read held open.
+  void BlockNextReadAt(uint64_t offset) {
+    std::lock_guard<std::mutex> lock(gate_mu_);
+    block_read_armed_ = true;
+    block_read_off_ = offset;
+    read_released_ = false;
+  }
+  void WaitUntilReadBlocked() {
+    std::unique_lock<std::mutex> lock(gate_mu_);
+    gate_cv_.wait(lock, [&] { return read_blocked_; });
+  }
+  void ReleaseReads() {
+    std::lock_guard<std::mutex> lock(gate_mu_);
+    read_released_ = true;
+    gate_cv_.notify_all();
+  }
   void FailNextWriteAt(uint64_t offset) {
     std::lock_guard<std::mutex> lock(gate_mu_);
     fail_write_armed_ = true;
@@ -85,10 +102,17 @@ class BlockingStorageDevice : public StorageDevice {
   }
   Status ReadAt(uint64_t offset, std::span<uint8_t> out) const override {
     {
-      std::lock_guard<std::mutex> lock(gate_mu_);
+      std::unique_lock<std::mutex> lock(gate_mu_);
       if (fail_read_armed_ && offset == fail_read_off_) {
         fail_read_armed_ = false;
         return Status::IOError("injected read failure");
+      }
+      if (block_read_armed_ && offset == block_read_off_) {
+        block_read_armed_ = false;
+        read_blocked_ = true;
+        gate_cv_.notify_all();
+        gate_cv_.wait(lock, [&] { return read_released_; });
+        read_blocked_ = false;
       }
     }
     return inner_.ReadAt(offset, out);
@@ -108,6 +132,10 @@ class BlockingStorageDevice : public StorageDevice {
   uint64_t fail_write_off_ = 0;
   mutable bool fail_read_armed_ = false;
   mutable uint64_t fail_read_off_ = 0;
+  mutable bool block_read_armed_ = false;
+  mutable uint64_t block_read_off_ = 0;
+  mutable bool read_blocked_ = false;
+  mutable bool read_released_ = false;
 };
 
 constexpr uint64_t PageOffset(uint32_t page_no) {
@@ -288,6 +316,46 @@ TEST_F(BufferPoolRaceTest, FailedWriteBackRestoresVictimMapping) {
   ASSERT_TRUE(apage.ok()) << apage.status().ToString();
   EXPECT_EQ(SamplePage(apage.value()),
             (std::array<uint8_t, 3>{0x55, 0x55, 0x55}));
+}
+
+// (d) Hit on a loading frame: a fetcher that finds the page mapped while
+// another thread's device read is still filling the frame must wait for
+// the load (the loader holds the frame's exclusive latch through its I/O),
+// never return the frame early. Only a frame already resident under the
+// shard mutex may skip the latch.
+TEST_F(BufferPoolRaceTest, HitOnLoadingFrameWaitsForTheLoad) {
+  auto pool = MakePool(2);
+  const PageId a = MakePageId(0, 3);
+  std::vector<uint8_t> image(kPageSize, 0x6d);
+  ASSERT_TRUE(device_.WriteAt(PageOffset(3), image).ok());
+
+  device_.BlockNextReadAt(PageOffset(3));
+  std::thread loader([&] {
+    auto page = pool->FetchPage(a);  // miss: maps the frame, blocks in ReadAt
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    EXPECT_EQ(SamplePage(page.value()),
+              (std::array<uint8_t, 3>{0x6d, 0x6d, 0x6d}));
+  });
+  device_.WaitUntilReadBlocked();
+
+  std::atomic<bool> returned{false};
+  std::array<uint8_t, 3> seen{};
+  std::thread hitter([&] {
+    auto page = pool->FetchPage(a);  // hit on the kLoading frame
+    returned.store(true);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    seen = SamplePage(page.value());
+  });
+  std::this_thread::sleep_for(50ms);
+  EXPECT_FALSE(returned.load())
+      << "a hit on a loading frame returned before the device read finished";
+
+  device_.ReleaseReads();
+  loader.join();
+  hitter.join();
+  EXPECT_EQ(seen, (std::array<uint8_t, 3>{0x6d, 0x6d, 0x6d}));
+  EXPECT_EQ(pool->misses(), 1u);
+  EXPECT_EQ(pool->hits(), 1u);
 }
 
 // (e) WakeOne baton chain: write-back completion wakes a single parked

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -286,6 +289,86 @@ TEST(LockManagerTest, TimeoutBackstop) {
   lm.ReleaseAll(1, {100});
 }
 
+// An S holder asking for X jumps ahead of waiters queued before it: it
+// must be granted as soon as it is the sole holder, before the X waiter
+// that queued first (which would otherwise wait on it while it waits on
+// that waiter — a deadlock detection would have to break).
+TEST(LockManagerTest, UpgradeJumpsAheadOfQueuedWaiters) {
+  LockManager::Options opts;
+  opts.wait_timeout_ms = 5000;
+  LockManager lm(opts);
+  constexpr Rid kRid = 11;
+  ASSERT_TRUE(lm.Lock(1, kRid, LockMode::kShared).ok());
+  ASSERT_TRUE(lm.Lock(2, kRid, LockMode::kShared).ok());
+
+  std::atomic<int> next{0};
+  int upgrade_order = -1, waiter_order = -1;
+  std::thread waiter([&] {
+    EXPECT_TRUE(lm.Lock(3, kRid, LockMode::kExclusive).ok());
+    waiter_order = next.fetch_add(1);
+    lm.ReleaseAll(3, {kRid});
+  });
+  while (lm.waits() < 1) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  std::thread upgrader([&] {
+    Status s = lm.Lock(1, kRid, LockMode::kExclusive);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    upgrade_order = next.fetch_add(1);
+    EXPECT_TRUE(lm.Holds(1, kRid, LockMode::kExclusive));
+    lm.ReleaseAll(1, {kRid});
+  });
+  while (lm.waits() < 2) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  lm.ReleaseAll(2, {kRid});  // txn 1 is now the sole holder
+  upgrader.join();
+  waiter.join();
+  EXPECT_EQ(upgrade_order, 0) << "the upgrade must be granted first";
+  EXPECT_EQ(waiter_order, 1);
+  EXPECT_EQ(lm.deadlocks(), 0u);
+}
+
+// Waiters are granted in arrival order, including on queues built from
+// reused nodes: rids in one bucket alternate, so each round's queue takes
+// the node the previous round's emptied queue left behind.
+TEST(LockManagerTest, WaitersGrantedFifoAcrossQueueNodeReuse) {
+  LockManager::Options opts;
+  opts.wait_timeout_ms = 5000;
+  LockManager lm(opts);
+  constexpr int kWaiters = 4;
+  uint64_t waits_before = 0;
+  for (int round = 0; round < 6; ++round) {
+    // Same bucket every round (kNumBuckets apart), a different rid.
+    const Rid rid = 5 + static_cast<Rid>(round % 3) * LockManager::kNumBuckets;
+    const uint64_t holder = 100 * (round + 1);
+    ASSERT_TRUE(lm.Lock(holder, rid, LockMode::kExclusive).ok());
+
+    std::atomic<int> next{0};
+    std::vector<int> order(kWaiters, -1);
+    std::vector<std::thread> waiters;
+    for (int w = 0; w < kWaiters; ++w) {
+      waiters.emplace_back([&, w] {
+        const uint64_t txn = holder + 1 + static_cast<uint64_t>(w);
+        EXPECT_TRUE(lm.Lock(txn, rid, LockMode::kExclusive).ok());
+        order[w] = next.fetch_add(1);
+        lm.ReleaseAll(txn, {rid});
+      });
+      // Queue the next waiter only after this one has queued.
+      while (lm.waits() < waits_before + w + 1) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    waits_before += kWaiters;
+    lm.ReleaseAll(holder, {rid});
+    for (auto& th : waiters) th.join();
+    for (int w = 0; w < kWaiters; ++w) {
+      EXPECT_EQ(order[w], w) << "round " << round << ": waiter " << w
+                             << " granted out of arrival order";
+    }
+    EXPECT_FALSE(lm.Holds(holder, rid, LockMode::kShared));
+  }
+  EXPECT_EQ(lm.deadlocks(), 0u);
+}
+
 // ----------------------------------------------------------------- TrxSys
 
 TEST(TrxSysTest, NativeViewVisibility) {
@@ -529,6 +612,94 @@ TEST_F(StorEngineTest, BlockedWriterAbortsAfterWinnerCommits) {
   engine_->PostCommit(winner.get(), 0, false);
   loser_thread.join();
   EXPECT_TRUE(loser_aborted.load());
+}
+
+// One transaction's undo records and images fill several arena chunks
+// (each update copies a ~200-byte before-image and after-image). Every row
+// must still roll back to its before-image, and an older view must read
+// every before-image through the roll chains — while the writer is active,
+// and after it commits.
+TEST_F(StorEngineTest, MultiChunkUndoRollsBackAndServesOlderViews) {
+  constexpr int kRows = 64;
+  auto image = [](int row, char tag) {
+    return std::string(200, tag) + "#" + std::to_string(row);
+  };
+  for (int k = 0; k < kRows; ++k) CommitPut(k, image(k, 'a'));
+  static_assert(kRows * 2 * 200 > 2 * UndoArena::kChunkBytes,
+                "the writer's images must span several chunks");
+
+  auto old_view = engine_->Begin(IsolationLevel::kSnapshot);
+  std::string v;
+  ASSERT_TRUE(engine_->Get(old_view.get(), table_, MakeKey(0), &v).ok());
+
+  auto read_all = [&](StorTxn* reader, char tag) {
+    for (int k = 0; k < kRows; ++k) {
+      std::string got;
+      ASSERT_TRUE(engine_->Get(reader, table_, MakeKey(k), &got).ok()) << k;
+      ASSERT_EQ(got, image(k, tag)) << "row " << k;
+    }
+  };
+
+  // Rolled back: every row returns to its before-image.
+  auto doomed = engine_->Begin(IsolationLevel::kSnapshot);
+  for (int k = 0; k < kRows; ++k) {
+    ASSERT_TRUE(
+        engine_->Put(doomed.get(), table_, MakeKey(k), image(k, 'x')).ok());
+  }
+  read_all(old_view.get(), 'a');
+  engine_->Abort(doomed.get());
+  {
+    auto fresh = engine_->Begin(IsolationLevel::kSnapshot);
+    read_all(fresh.get(), 'a');
+    engine_->Abort(fresh.get());
+  }
+
+  // Committed: the older view still reconstructs every before-image.
+  auto writer = engine_->Begin(IsolationLevel::kSnapshot);
+  for (int k = 0; k < kRows; ++k) {
+    ASSERT_TRUE(
+        engine_->Put(writer.get(), table_, MakeKey(k), image(k, 'b')).ok());
+  }
+  read_all(old_view.get(), 'a');
+  ASSERT_TRUE(engine_->PreCommit(writer.get()).ok());
+  engine_->PostCommit(writer.get(), 0, false);
+  read_all(old_view.get(), 'a');
+  engine_->Abort(old_view.get());
+  auto fresh = engine_->Begin(IsolationLevel::kSnapshot);
+  read_all(fresh.get(), 'b');
+  engine_->Abort(fresh.get());
+}
+
+// A write-write conflict detected on a page that also holds the
+// transaction's own earlier write: the update path checks visibility under
+// the page's exclusive latch, and the abort's rollback latches that same
+// page again, so the conflict must unlatch before aborting.
+TEST_F(StorEngineTest, ConflictOnPageWithOwnWriteAbortsWithoutHanging) {
+  CommitPut(1, "one");
+  CommitPut(2, "two");  // same page as row 1
+  auto txn = engine_->Begin(IsolationLevel::kSnapshot);
+  ASSERT_TRUE(engine_->Put(txn.get(), table_, MakeKey(1), "mine").ok());
+  CommitPut(2, "newer");  // committed after txn's snapshot
+
+  std::promise<Status> result;
+  std::future<Status> done = result.get_future();
+  std::thread conflicting([&] {
+    result.set_value(engine_->Put(txn.get(), table_, MakeKey(2), "lost"));
+  });
+  if (done.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    std::fprintf(stderr, "write-write conflict abort hung on its own page\n");
+    std::_Exit(1);  // the stuck thread cannot be joined
+  }
+  conflicting.join();
+  EXPECT_TRUE(done.get().IsAborted());
+
+  auto reader = engine_->Begin(IsolationLevel::kSnapshot);
+  std::string v;
+  ASSERT_TRUE(engine_->Get(reader.get(), table_, MakeKey(1), &v).ok());
+  EXPECT_EQ(v, "one") << "the aborted transaction's own write must roll back";
+  ASSERT_TRUE(engine_->Get(reader.get(), table_, MakeKey(2), &v).ok());
+  EXPECT_EQ(v, "newer");
+  engine_->Abort(reader.get());
 }
 
 TEST_F(StorEngineTest, AbortAfterPreCommitRollsBack) {
