@@ -83,7 +83,7 @@ bool Replica::WaitCaughtUp(Lsn mem_lsn, Lsn stor_lsn, uint64_t csr_seq,
 void Replica::RunLoop() {
   bool connected_once = false;
   while (!stop_.load(std::memory_order_acquire)) {
-    Status s = ch_.ConnectTo(options_.host, options_.port);
+    Status s = ch_.Connect(options_.host, options_.port);
     if (!s.ok()) {
       std::this_thread::sleep_for(kReconnectBackoff);
       continue;

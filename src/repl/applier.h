@@ -33,7 +33,7 @@
 #include "common/types.h"
 #include "core/database.h"
 #include "log/redo.h"
-#include "repl/channel.h"
+#include "server/socket.h"
 #include "server/wire.h"
 
 namespace skeena::repl {
@@ -112,7 +112,7 @@ class Replica {
   std::thread thread_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> gate_disabled_{false};
-  ReplChannel ch_;
+  server::FramedConn ch_;
 
   // --- staging state owned by the run thread (no lock).
   // Data records grouped per gtid until the commit record lands.

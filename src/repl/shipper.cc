@@ -1,6 +1,10 @@
 #include "repl/shipper.h"
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 
 #include "common/parking_lot.h"
 #include "log/log_manager.h"
@@ -18,7 +22,11 @@ Shipper::Shipper(Database* db, CsrInstallJournal* journal, Options options)
 Shipper::~Shipper() { Stop(); }
 
 Status Shipper::Start() {
-  SKEENA_RETURN_NOT_OK(listener_.Listen(options_.port));
+  Result<server::Listener> listener =
+      server::ListenTcp("127.0.0.1", options_.port, /*nonblocking=*/false);
+  if (!listener.ok()) return listener.status();
+  port_ = listener->port;
+  listen_fd_.store(listener->fd, std::memory_order_release);
   stop_.store(false, std::memory_order_release);
   // Wake sources for the serve loop's eventcount: every durable-LSN
   // advance (group commit moved the shippable bound) and every CSR
@@ -36,13 +44,14 @@ Status Shipper::Start() {
 void Shipper::Stop() {
   stop_.store(true, std::memory_order_release);
   BumpProgress();  // unpark a serve loop idling on the eventcount
-  listener_.Shutdown();
+  int listen_fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
+  if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);
   {
     MutexLock guard(conns_mu_);
-    for (ReplChannel* ch : live_) ch->Shutdown();
+    for (server::FramedConn* ch : live_) ch->Shutdown();
   }
   if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.Close();
+  if (listen_fd >= 0) ::close(listen_fd);
   // Unhook only after the serve loop is joined: the observers are invoked
   // under the producers' own locks, so Set*Observer(nullptr) returning
   // means no call into this (soon-destroyed) shipper is still running.
@@ -62,13 +71,16 @@ void Shipper::AcceptLoop() {
   // deployment shape, and a killed connection's serve loop exits (its
   // sends fail) before the replacement is accepted from the backlog.
   while (!stop_.load(std::memory_order_acquire)) {
-    int fd = listener_.Accept();
-    if (fd < 0) return;  // listener shut down
+    int listen_fd = listen_fd_.load(std::memory_order_acquire);
+    if (listen_fd < 0) return;
+    int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd < 0 && errno == EINTR) continue;
+    if (fd < 0) return;  // listener shut down, or a hard error
     Serve(fd);
   }
 }
 
-Status Shipper::SendOnChannel(ReplChannel& ch, std::string frame) {
+Status Shipper::SendOnChannel(server::FramedConn& ch, std::string frame) {
   int64_t cut = cut_after_.load(std::memory_order_acquire);
   if (cut >= 0) {
     if (static_cast<int64_t>(frame.size()) >= cut) {
@@ -84,7 +96,7 @@ Status Shipper::SendOnChannel(ReplChannel& ch, std::string frame) {
   return ch.Send(frame);
 }
 
-Status Shipper::ShipLogs(ReplChannel& ch, int e, uint64_t* rid, Lsn* cursor,
+Status Shipper::ShipLogs(server::FramedConn& ch, int e, uint64_t* rid, Lsn* cursor,
                          Lsn target, bool* progress) {
   if (*cursor >= target) return Status::OK();
   const LogManager* log = db_->engine(e)->Log();
@@ -114,7 +126,7 @@ Status Shipper::ShipLogs(ReplChannel& ch, int e, uint64_t* rid, Lsn* cursor,
   return Status::OK();
 }
 
-Status Shipper::ShipCsr(ReplChannel& ch, uint64_t* rid, uint64_t* cursor,
+Status Shipper::ShipCsr(server::FramedConn& ch, uint64_t* rid, uint64_t* cursor,
                         uint64_t target, bool* progress) {
   if (*cursor >= target) return Status::OK();
   server::ReplCsrBatch batch;
@@ -129,7 +141,7 @@ Status Shipper::ShipCsr(ReplChannel& ch, uint64_t* rid, uint64_t* cursor,
 }
 
 void Shipper::Serve(int fd) {
-  ReplChannel ch;
+  server::FramedConn ch;
   ch.Adopt(fd);
   {
     MutexLock guard(conns_mu_);

@@ -35,7 +35,7 @@
 #include "common/thread_annotations.h"
 #include "common/types.h"
 #include "core/database.h"
-#include "repl/channel.h"
+#include "server/socket.h"
 #include "server/wire.h"
 
 namespace skeena::repl {
@@ -118,7 +118,7 @@ class Shipper {
   Status Start();
   /// Stops accepting, severs live connections, joins all threads.
   void Stop();
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return port_; }
 
   /// Test hook: after roughly `n` more payload bytes, cut the active
   /// connection mid-frame (the tail of the offending frame is dropped).
@@ -144,19 +144,21 @@ class Shipper {
   /// journal's append observer, and Stop().
   void BumpProgress();
   /// Sends with the test cut hook applied; IOError when the cut fires.
-  Status SendOnChannel(ReplChannel& ch, std::string frame);
+  Status SendOnChannel(server::FramedConn& ch, std::string frame);
   /// Ships one bounded REPL_LOG batch for engine `e` from *cursor toward
   /// min(target, DurableLsn). Sets *progress when bytes went out.
-  Status ShipLogs(ReplChannel& ch, int e, uint64_t* rid, Lsn* cursor,
+  Status ShipLogs(server::FramedConn& ch, int e, uint64_t* rid, Lsn* cursor,
                   Lsn target, bool* progress);
-  Status ShipCsr(ReplChannel& ch, uint64_t* rid, uint64_t* cursor,
+  Status ShipCsr(server::FramedConn& ch, uint64_t* rid, uint64_t* cursor,
                  uint64_t target, bool* progress);
 
   Database* db_;
   CsrInstallJournal* journal_;
   Options options_;
 
-  ReplListener listener_;
+  // The listening socket; Stop() shuts it down to break a blocked accept.
+  std::atomic<int> listen_fd_{-1};
+  uint16_t port_ = 0;
   std::thread accept_thread_;
   std::atomic<bool> stop_{false};
   std::atomic<int64_t> cut_after_{-1};
@@ -172,7 +174,7 @@ class Shipper {
 
   // Live connection channels, so Stop() can break their blocked I/O.
   Mutex conns_mu_;
-  std::vector<ReplChannel*> live_ SKEENA_GUARDED_BY(conns_mu_);
+  std::vector<server::FramedConn*> live_ SKEENA_GUARDED_BY(conns_mu_);
 };
 
 }  // namespace skeena::repl

@@ -1,14 +1,5 @@
 #include "server/client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-
 namespace skeena::server {
 
 Err Response::err_code() const {
@@ -33,32 +24,13 @@ Status Response::ToStatus() const {
 Client::~Client() { Close(); }
 
 void Client::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  inbuf_.clear();
+  conn_.Close();
   negotiated_version_ = 0;
 }
 
 Status Client::Connect(const std::string& host, uint16_t port) {
   Close();
-  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd_ < 0) return Status::IOError("socket: " + std::string(strerror(errno)));
-  int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    Close();
-    return Status::InvalidArgument("bad host: " + host);
-  }
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    Status s = Status::IOError("connect: " + std::string(strerror(errno)));
-    Close();
-    return s;
-  }
+  SKEENA_RETURN_NOT_OK(conn_.Connect(host, port));
   // Handshake.
   Response rsp;
   Status s = Call(EncodeHello(next_request_id()), Op::kHelloOk, &rsp);
@@ -74,55 +46,17 @@ Status Client::Connect(const std::string& host, uint16_t port) {
   return Status::OK();
 }
 
-Status Client::WriteAll(std::string_view bytes) {
-  if (fd_ < 0) return Status::InvalidArgument("not connected");
-  size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
-                       MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return Status::IOError("send: " + std::string(strerror(errno)));
-  }
+Status Client::RecvResponse(Response* rsp) {
+  Frame f;
+  SKEENA_RETURN_NOT_OK(conn_.Recv(&f));
+  rsp->request_id = f.request_id;
+  rsp->op = static_cast<Op>(f.opcode);
+  rsp->body = std::move(f.body);
   return Status::OK();
 }
 
-Status Client::RecvResponse(Response* rsp) {
-  if (fd_ < 0) return Status::InvalidArgument("not connected");
-  for (;;) {
-    size_t consumed = 0;
-    Frame f;
-    Err err;
-    uint64_t hint;
-    ParseResult r = ExtractFrame(inbuf_, &consumed, &f, &err, &hint);
-    if (r == ParseResult::kFrame) {
-      inbuf_.erase(0, consumed);
-      rsp->request_id = f.request_id;
-      rsp->op = static_cast<Op>(f.opcode);
-      rsp->body = std::move(f.body);
-      return Status::OK();
-    }
-    if (r == ParseResult::kError) {
-      return Status::Corruption(std::string("server framing violation: ") +
-                                ErrName(err));
-    }
-    char buf[16384];
-    ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      inbuf_.append(buf, static_cast<size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n == 0) return Status::IOError("connection closed by server");
-    return Status::IOError("recv: " + std::string(strerror(errno)));
-  }
-}
-
 Status Client::Call(std::string frame, Op expect, Response* rsp) {
-  SKEENA_RETURN_NOT_OK(WriteAll(frame));
+  SKEENA_RETURN_NOT_OK(conn_.Send(frame));
   SKEENA_RETURN_NOT_OK(RecvResponse(rsp));
   if (rsp->is_err()) return rsp->ToStatus();
   if (rsp->op != expect) {
@@ -205,34 +139,34 @@ Status Client::Put(uint32_t table, const Key& key, std::string_view value) {
 
 uint64_t Client::SendBegin(IsolationLevel iso) {
   uint64_t rid = next_request_id();
-  WriteAll(EncodeBegin(rid, iso));
+  conn_.Send(EncodeBegin(rid, iso));
   return rid;
 }
 
 uint64_t Client::SendExec(const std::vector<Stmt>& stmts) {
   uint64_t rid = next_request_id();
-  WriteAll(EncodeExec(rid, stmts));
+  conn_.Send(EncodeExec(rid, stmts));
   return rid;
 }
 
 uint64_t Client::SendCommit() {
   uint64_t rid = next_request_id();
-  WriteAll(EncodeCommit(rid));
+  conn_.Send(EncodeCommit(rid));
   return rid;
 }
 
 uint64_t Client::SendAbort() {
   uint64_t rid = next_request_id();
-  WriteAll(EncodeAbort(rid));
+  conn_.Send(EncodeAbort(rid));
   return rid;
 }
 
 uint64_t Client::SendPing() {
   uint64_t rid = next_request_id();
-  WriteAll(EncodePing(rid));
+  conn_.Send(EncodePing(rid));
   return rid;
 }
 
-Status Client::SendRaw(std::string_view bytes) { return WriteAll(bytes); }
+Status Client::SendRaw(std::string_view bytes) { return conn_.Send(bytes); }
 
 }  // namespace skeena::server

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "server/socket.h"
 #include "server/wire.h"
 
 namespace skeena::server {
@@ -51,9 +52,9 @@ class Client {
   /// Connects and performs the HELLO handshake.
   Status Connect(const std::string& host, uint16_t port);
   void Close();
-  bool connected() const { return fd_ >= 0; }
+  bool connected() const { return conn_.connected(); }
   /// Raw socket (for poll()-based open-loop drivers). -1 when closed.
-  int fd() const { return fd_; }
+  int fd() const { return conn_.fd(); }
   /// Protocol version negotiated by the handshake.
   uint8_t negotiated_version() const { return negotiated_version_; }
 
@@ -92,15 +93,13 @@ class Client {
 
  private:
   uint64_t next_request_id() { return next_request_id_++; }
-  Status WriteAll(std::string_view bytes);
   /// Sync round-trip helper: sends `frame`, receives the response for it,
   /// and checks the opcode (error responses pass through for the caller).
   Status Call(std::string frame, Op expect, Response* rsp);
 
-  int fd_ = -1;
+  FramedConn conn_;
   uint64_t next_request_id_ = 1;
   uint8_t negotiated_version_ = 0;
-  std::string inbuf_;
 };
 
 }  // namespace skeena::server

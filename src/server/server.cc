@@ -1,7 +1,5 @@
 #include "server/server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -18,6 +16,7 @@
 #include "common/thread_annotations.h"
 #include "core/database.h"
 #include "core/transaction.h"
+#include "server/socket.h"
 
 namespace skeena::server {
 
@@ -28,11 +27,6 @@ namespace {
 /// request order and the worker turns it into PROTO_ERR + close. body[0]
 /// carries the Err code.
 constexpr uint8_t kParseErrOpcode = 0x00;
-
-bool SetNonBlocking(int fd) {
-  int flags = fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
 
 }  // namespace
 
@@ -109,35 +103,14 @@ struct Server::Impl {
 
   // ------------------------------------------------------------------ setup
 
-  Status Listen(uint16_t* bound_port) {
-    listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                         0);
-    if (listen_fd < 0) return Status::IOError("socket: " + Errno());
-    int one = 1;
-    ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(opts.port);
-    if (inet_pton(AF_INET, opts.host.c_str(), &addr.sin_addr) != 1) {
-      return Status::InvalidArgument("bad host: " + opts.host);
+  /// Closes whatever descriptors Start() opened: Stop()'s last step, and
+  /// every failure path of Start() itself.
+  void CloseFds() {
+    for (int* fd : {&listen_fd, &epoll_fd, &wake_fd}) {
+      if (*fd >= 0) ::close(*fd);
+      *fd = -1;
     }
-    if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      return Status::IOError("bind: " + Errno());
-    }
-    if (::listen(listen_fd, 128) != 0) {
-      return Status::IOError("listen: " + Errno());
-    }
-    socklen_t len = sizeof(addr);
-    if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len) !=
-        0) {
-      return Status::IOError("getsockname: " + Errno());
-    }
-    *bound_port = ntohs(addr.sin_port);
-    return Status::OK();
   }
-
-  static std::string Errno() { return std::strerror(errno); }
 
   void UpdateInterest(const std::shared_ptr<Conn>& c, uint32_t mask) {
     if (c->interest == mask || c->closed) return;
@@ -671,11 +644,18 @@ Server::~Server() { Stop(); }
 Status Server::Start() {
   Impl& im = *impl_;
   if (im.started) return Status::InvalidArgument("server already started");
-  SKEENA_RETURN_NOT_OK(im.Listen(&port_));
+  Result<Listener> listener =
+      ListenTcp(im.opts.host, im.opts.port, /*nonblocking=*/true);
+  if (!listener.ok()) return listener.status();
+  im.listen_fd = listener->fd;
+  port_ = listener->port;
   im.epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
   im.wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (im.epoll_fd < 0 || im.wake_fd < 0) {
-    return Status::IOError("epoll/eventfd: " + Impl::Errno());
+    Status s = Status::IOError(std::string("epoll/eventfd: ") +
+                               std::strerror(errno));
+    im.CloseFds();
+    return s;
   }
   epoll_event ev{};
   ev.events = EPOLLIN;
@@ -683,7 +663,6 @@ Status Server::Start() {
   ::epoll_ctl(im.epoll_fd, EPOLL_CTL_ADD, im.listen_fd, &ev);
   ev.data.fd = im.wake_fd;
   ::epoll_ctl(im.epoll_fd, EPOLL_CTL_ADD, im.wake_fd, &ev);
-  SetNonBlocking(im.listen_fd);
 
   im.started = true;
   im.stopping.store(false, std::memory_order_release);
@@ -727,10 +706,7 @@ void Server::Stop() {
     im.closed_count.fetch_add(1, std::memory_order_relaxed);
   }
   im.conns.clear();
-  if (im.listen_fd >= 0) ::close(im.listen_fd);
-  if (im.epoll_fd >= 0) ::close(im.epoll_fd);
-  if (im.wake_fd >= 0) ::close(im.wake_fd);
-  im.listen_fd = im.epoll_fd = im.wake_fd = -1;
+  im.CloseFds();
 }
 
 Server::Stats Server::stats() const {

@@ -258,8 +258,7 @@ void StorEngine::InstallRowVersion(StorTxn* txn, StorTable* t, Rid rid,
                                    uint8_t* slot, const Key& key,
                                    std::string_view value, bool tombstone,
                                    bool fresh_insert) {
-  UndoArena& arena = txn->arena_;
-  UndoRecord* undo = arena.NewUndo();
+  UndoRecord* undo = txn->undo_arena_.NewUndo();
   undo->rid = rid;
   if (fresh_insert) {
     undo->old_deleted = true;
@@ -270,7 +269,7 @@ void StorEngine::InstallRowVersion(StorTxn* txn, StorTable* t, Rid rid,
     undo->old_roll = reinterpret_cast<UndoRecord*>(old_hdr.roll_ptr);
     undo->old_deleted = old_hdr.deleted() || !old_hdr.in_use();
     if (old_hdr.vlen <= t->max_value_size) {
-      undo->old_value = arena.Copy(std::string_view(
+      undo->old_value = txn->undo_arena_.Copy(std::string_view(
           reinterpret_cast<const char*>(RowValuePtr(slot)), old_hdr.vlen));
     }
   }
@@ -288,10 +287,10 @@ void StorEngine::InstallRowVersion(StorTxn* txn, StorTable* t, Rid rid,
     std::memcpy(RowValuePtr(slot), value.data(), value.size());
   }
 
-  RedoEntry* redo = arena.NewRedo();
+  RedoEntry* redo = txn->redo_arena_.NewRedo();
   redo->table = t->id;
   redo->key = key;
-  redo->value = arena.Copy(value);
+  redo->value = txn->redo_arena_.Copy(value);
   redo->tombstone = tombstone;
   if (txn->redo_last_ == nullptr) {
     txn->redo_head_ = redo;
@@ -307,10 +306,10 @@ Status StorEngine::WriteRowLatched(StorTxn* txn, StorTable* t, Rid rid,
                                    bool tombstone, bool fresh_insert) {
   auto page = pool_->FetchPage(MakePageId(t->id, RidPage(rid)));
   if (!page.ok()) return page.status();
-  // Room for the undo record, the before-image, the redo entry and the
+  // Room for the undo record and before-image, and for the redo entry and
   // after-image (plus alignment), so nothing mallocs under the latch.
-  txn->arena_.Reserve(sizeof(UndoRecord) + sizeof(RedoEntry) +
-                      t->max_value_size + value.size() + 32);
+  txn->undo_arena_.Reserve(sizeof(UndoRecord) + t->max_value_size + 16);
+  txn->redo_arena_.Reserve(sizeof(RedoEntry) + value.size() + 16);
   PageGuard& guard = page.value();
   guard.LockExclusive();
   uint8_t* slot = guard.data() + SlotOffset(RidSlot(rid), t->max_value_size);
@@ -523,7 +522,8 @@ void FreeUndoChunksRaw(void* p) {
 void StorEngine::RetireUndos(StorTxn* txn) {
   txn->undo_head_ = nullptr;
   txn->redo_head_ = txn->redo_last_ = nullptr;
-  UndoArena::Batch batch = txn->arena_.Release();
+  txn->redo_arena_.Clear();
+  UndoArena::Batch batch = txn->undo_arena_.Release();
   if (batch.head == nullptr) return;
   // Undo images must outlive every view that may still walk them. A
   // committed transaction's undos are only walked by views older than its

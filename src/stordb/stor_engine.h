@@ -217,8 +217,8 @@ class StorEngine {
                          bool fresh_insert);
 
   // Overwrites the latched `slot` in place, capturing its before-image as
-  // an undo record and buffering the after-image for redo, both in the
-  // transaction's arena.
+  // an undo record and buffering the after-image for redo, in the
+  // transaction's undo and redo arenas.
   void InstallRowVersion(StorTxn* txn, StorTable* t, Rid rid, uint8_t* slot,
                          const Key& key, std::string_view value,
                          bool tombstone, bool fresh_insert);

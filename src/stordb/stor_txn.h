@@ -50,7 +50,7 @@ struct UndoRecord {
 };
 
 /// After-image buffered for the redo log (written at post-commit). Lives in
-/// the transaction's UndoArena; `value` views arena bytes. Entries chain in
+/// the transaction's redo arena; `value` views arena bytes. Entries chain in
 /// write order, which is the order redo replays them.
 struct RedoEntry {
   RedoEntry* next = nullptr;
@@ -60,13 +60,17 @@ struct RedoEntry {
   bool tombstone = false;
 };
 
-/// One transaction's bump allocator for its undo records, before-images,
-/// redo entries and after-images — the role of InnoDB's undo pages in a
-/// rollback segment. Chunks are chained newest first; allocation is a
-/// pointer bump, and a chunk is malloc'ed only when the current one is
-/// full. When the transaction finishes, Release() hands the whole chunk
-/// list over as its undo batch, so purge frees a few chunks per
-/// transaction instead of one heap object per record and image.
+/// A transaction's bump allocator. Chunks are chained newest first;
+/// allocation is a pointer bump, and a chunk is malloc'ed only when the
+/// current one is full. Each StorTxn owns two:
+///  * the undo arena holds its undo records and before-images — the role
+///    of InnoDB's undo pages in a rollback segment. When the transaction
+///    finishes, Release() hands the whole chunk list over as its undo
+///    batch, so purge frees a few chunks per transaction instead of one
+///    heap object per record and image;
+///  * the redo arena holds its redo entries and after-images. Only
+///    PostCommit reads them, so Clear() frees them when the transaction
+///    finishes instead of letting them wait for purge with the undo batch.
 class UndoArena {
  public:
   /// Allocation size of a chunk, header included. A request larger than a
@@ -88,7 +92,7 @@ class UndoArena {
   };
 
   UndoArena() = default;
-  ~UndoArena() { Free(Release().head); }
+  ~UndoArena() { Clear(); }
 
   UndoArena(const UndoArena&) = delete;
   UndoArena& operator=(const UndoArena&) = delete;
@@ -133,6 +137,9 @@ class UndoArena {
     undo_records_ = 0;
     return b;
   }
+
+  /// Frees the chunks at once and leaves the arena empty.
+  void Clear() { Free(Release().head); }
 
   /// Frees a released chunk list — one batch, or several concatenated —
   /// and takes its records out of the live count.
@@ -235,10 +242,12 @@ class StorTxn {
   // (kMaxTimestamp = native view).
   uint64_t pending_ser_limit_ = kMaxTimestamp;
 
-  // Undo records, before-images and redo entries; released to the engine
-  // as this transaction's undo batch when it finishes (the pointers below
-  // are cleared then).
-  UndoArena arena_;
+  // Undo records and before-images, released to the engine as this
+  // transaction's undo batch when it finishes; redo entries and
+  // after-images, freed when it finishes (the pointers below are cleared
+  // then).
+  UndoArena undo_arena_;
+  UndoArena redo_arena_;
   UndoRecord* undo_head_ = nullptr;  // newest first (rollback order)
   RedoEntry* redo_head_ = nullptr;   // write order (replay order)
   RedoEntry* redo_last_ = nullptr;

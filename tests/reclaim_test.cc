@@ -217,12 +217,12 @@ TEST(StorReclaimTortureTest, PinnedViewNeverObservesFreedUndos) {
   EXPECT_GT(engine.epoch().FreedCount(), 0u);
 }
 
-// Undo batches are intrusive chains (UndoRecord::next_in_txn): a finished
-// write transaction hands one head pointer to the pending FIFO, with no
-// per-transaction container allocation. This asserts the whole lifecycle
-// is leak-free with an allocation count: records drain through purge +
-// epoch while running, and exactly zero UndoRecord allocations survive
-// the engine (pending FIFO, epoch limbo, and leftover txns included).
+// An undo batch is the chunk list of a finished write transaction's undo
+// arena (UndoArena::Release): the transaction hands it to the pending FIFO
+// with no per-record allocation. This asserts the whole lifecycle is
+// leak-free with the per-chunk record count: records drain through purge +
+// epoch while running, and exactly zero UndoRecords survive the engine
+// (pending FIFO, epoch limbo, and leftover txns included).
 TEST(StorReclaimTortureTest, UndoAllocationsDrainToZero) {
   ASSERT_EQ(stordb::UndoRecord::LiveCount(), 0u);
   {

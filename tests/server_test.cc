@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <thread>
@@ -25,6 +26,7 @@
 #include "core/transaction.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "server/socket.h"
 #include "server/wire.h"
 
 namespace skeena::server {
@@ -434,6 +436,88 @@ TEST(WireTest, MalformedBodiesRejected) {
 }
 
 // ===========================================================================
+// FramedConn over a socketpair: the receive loop the client and both ends
+// of the replication link share
+// ===========================================================================
+
+class FramedConnTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+    conn_.Adopt(fds[0]);
+    peer_ = fds[1];
+  }
+
+  void TearDown() override {
+    if (peer_ >= 0) ::close(peer_);
+  }
+
+  void PeerWrite(std::string_view bytes) {
+    ASSERT_EQ(::write(peer_, bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  }
+
+  FramedConn conn_;
+  int peer_ = -1;
+};
+
+TEST_F(FramedConnTest, FrameSplitAcrossTwoWritesReassembles) {
+  std::string ping = EncodePing(7);
+  PeerWrite(ping.substr(0, 5));
+  Frame f;
+  Status error;
+  EXPECT_FALSE(conn_.TryRecv(&f, &error));
+  EXPECT_TRUE(error.ok()) << error.ToString();
+  PeerWrite(ping.substr(5));
+  ASSERT_TRUE(conn_.Recv(&f).ok());
+  EXPECT_EQ(f.request_id, 7u);
+  EXPECT_EQ(f.opcode, static_cast<uint8_t>(Op::kPing));
+}
+
+TEST_F(FramedConnTest, EofMidFrameIsIOError) {
+  PeerWrite(EncodePing(3).substr(0, 6));
+  ::close(peer_);
+  peer_ = -1;
+  Frame f;
+  Status s = conn_.Recv(&f);
+  EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+}
+
+TEST_F(FramedConnTest, OversizedLengthPrefixIsCorruption) {
+  std::string prefix(4, '\0');
+  uint32_t big = kMaxFrameLen + 1;
+  std::memcpy(prefix.data(), &big, 4);
+  PeerWrite(prefix);
+  Frame f;
+  Status s = conn_.Recv(&f);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  Status error;
+  EXPECT_FALSE(conn_.TryRecv(&f, &error));
+  EXPECT_EQ(error.code(), StatusCode::kCorruption) << error.ToString();
+}
+
+TEST_F(FramedConnTest, ShutdownFromAnotherThreadUnblocksRecv) {
+  Status s;
+  std::thread reader([&] {
+    Frame f;
+    s = conn_.Recv(&f);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  conn_.Shutdown();
+  reader.join();
+  EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+}
+
+TEST_F(FramedConnTest, TryRecvOnEmptySocketIsNoFrameYet) {
+  Frame f;
+  Status error = Status::Corruption("unset");
+  EXPECT_FALSE(conn_.TryRecv(&f, &error));
+  EXPECT_TRUE(error.ok()) << error.ToString();
+  EXPECT_TRUE(conn_.connected());
+}
+
+// ===========================================================================
 // Live server fixture
 // ===========================================================================
 
@@ -471,6 +555,15 @@ class ServerTest : public ::testing::Test {
                         sizeof(addr)),
               0);
     return fd;
+  }
+
+  static size_t OpenFdCount() {
+    size_t n = 0;
+    for ([[maybe_unused]] const auto& e :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+      ++n;
+    }
+    return n;
   }
 
   /// True once every live transaction has been retired (orphans aborted).
@@ -726,6 +819,36 @@ TEST_F(ServerTest, StopAbortsEveryOrphan) {
   server_->Stop();
   EXPECT_EQ(db_->active_transactions(), 0);
   EXPECT_EQ(server_->stats().txns_aborted_on_disconnect, 2u);
+}
+
+TEST_F(ServerTest, FailedStartReleasesEveryDescriptor) {
+  const size_t before = OpenFdCount();
+  ServerOptions taken;
+  taken.port = server_->port();
+  Server second(db_.get(), taken);
+  EXPECT_FALSE(second.Start().ok());  // the fixture's server holds the port
+  EXPECT_EQ(OpenFdCount(), before);
+
+  ServerOptions bad_host;
+  bad_host.host = "not-an-address";
+  Server third(db_.get(), bad_host);
+  EXPECT_FALSE(third.Start().ok());
+  EXPECT_EQ(OpenFdCount(), before);
+
+  // The failed Start left nothing behind: once the port is free, the same
+  // Server starts on it, serves, and stops back to the same descriptors.
+  const uint16_t port = server_->port();
+  server_->Stop();
+  const size_t idle = OpenFdCount();
+  ASSERT_TRUE(second.Start().ok());
+  EXPECT_EQ(second.port(), port);
+  {
+    Client c;
+    ASSERT_TRUE(c.Connect("127.0.0.1", port).ok());
+    EXPECT_TRUE(c.Ping().ok());
+  }
+  second.Stop();
+  EXPECT_EQ(OpenFdCount(), idle);
 }
 
 // ---------------------------------------------------------------------------
