@@ -21,8 +21,8 @@ namespace {
 // Kernel wakes issued to release committers so far: both logs' batched
 // durable-advance unparks.
 uint64_t CommitWakes(Database* db) {
-  return db->mem()->engine()->log()->stats().durable_wakes +
-         db->stor()->engine()->log()->stats().durable_wakes;
+  return db->mem()->Log()->stats().durable_wakes +
+         db->stor()->Log()->stats().durable_wakes;
 }
 
 void Run() {
@@ -102,15 +102,15 @@ void Run() {
     Database* db = wl->db();
     CommitPipeline::Stats before = db->pipeline().stats();
     uint64_t wakes_before = CommitWakes(db);
-    uint64_t flushes_before = db->mem()->engine()->log()->stats().flushes +
-                              db->stor()->engine()->log()->stats().flushes;
+    uint64_t flushes_before = db->mem()->Log()->stats().flushes +
+                              db->stor()->Log()->stats().flushes;
     RunResult r = RunWorkload(log_conns, scale.duration_ms,
                               [wl](int t, Rng& rng, uint64_t* q) {
                                 return wl->RunOneTxn(t, rng, q);
                               });
     CommitPipeline::Stats after = db->pipeline().stats();
-    uint64_t flushes = db->mem()->engine()->log()->stats().flushes +
-                       db->stor()->engine()->log()->stats().flushes -
+    uint64_t flushes = db->mem()->Log()->stats().flushes +
+                       db->stor()->Log()->stats().flushes -
                        flushes_before;
     uint64_t done = after.completed - before.completed;
     uint64_t wakes = CommitWakes(db) - wakes_before;

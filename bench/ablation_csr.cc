@@ -130,7 +130,7 @@ void Run() {
                    recycle_matrix->Set(
                        std::to_string(period), "recycled",
                        static_cast<double>(
-                           wl->db()->stats().csr.partitions_recycled));
+                           wl->db()->csr().stats().partitions_recycled));
                    return r;
                  });
   }

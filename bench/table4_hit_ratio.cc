@@ -40,7 +40,7 @@ void Run() {
                      cfg.pool_fraction = target.pool_fraction;
                      MicroWorkload* wl =
                          cache.Get(cfg, true, DeviceLatency::Ssd());
-                     wl->db()->stor()->engine()->pool()->ResetStats();
+                     wl->db()->stor()->pool()->ResetStats();
                      RunResult r = RunWorkload(
                          conns, scale.duration_ms,
                          [wl](int t, Rng& rng, uint64_t* q) {
@@ -50,7 +50,7 @@ void Run() {
                                  r.Tps());
                      measured->Set(
                          std::to_string(conns), target.label,
-                         wl->db()->stor()->engine()->pool()->HitRatio() *
+                         wl->db()->stor()->pool()->HitRatio() *
                              100.0);
                      return r;
                    });

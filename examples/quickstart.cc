@@ -64,9 +64,9 @@ int main() {
               });
   }
 
-  auto stats = db.stats();
+  SnapshotRegistry::Stats csr = db.csr().stats();
   std::printf("CSR: %llu accesses, %llu mappings\n",
-              static_cast<unsigned long long>(stats.csr.accesses),
-              static_cast<unsigned long long>(stats.csr.mappings));
+              static_cast<unsigned long long>(csr.accesses),
+              static_cast<unsigned long long>(csr.mappings));
   return 0;
 }

@@ -22,6 +22,13 @@ unjustified-relaxed
     per-file allowlist entry below (for protocol files where the ordering
     argument lives in a design doc and per-site comments would be noise).
 
+include-layering
+    A src/ file may include headers only from its own directory's layer
+    and the layers below it in the library DAG of src/CMakeLists.txt
+    (common < index, log < memdb, stordb < core < server < repl). The link
+    step cannot catch a header-only include from a higher layer (or a
+    sibling, such as memdb from stordb), so this rule does.
+
 tsan-suppression
     Every entry in .tsan-suppressions must (a) carry its own justification
     comment directly above it and (b) name a symbol that still exists in
@@ -76,6 +83,19 @@ RELAXED_ALLOWLIST = {
         "on read, documented at the class comment",
 }
 
+# Library layers (src/<dir>/) and what each may include besides itself:
+# the transitive DEPS of its target in src/CMakeLists.txt.
+LAYER_DEPS = {
+    "common": set(),
+    "index": {"common"},
+    "log": {"common"},
+    "memdb": {"common", "index", "log"},
+    "stordb": {"common", "index", "log"},
+    "core": {"common", "index", "log", "memdb", "stordb"},
+    "server": {"common", "index", "log", "memdb", "stordb", "core"},
+    "repl": {"common", "index", "log", "memdb", "stordb", "core", "server"},
+}
+
 # What counts as "blocking" inside an EpochGuard scope. Deliberately
 # syntactic: the point is to force the guard to be dropped (copy values
 # out) before any of these, however indirect the call.
@@ -97,6 +117,7 @@ RAW_SYNC_RE = re.compile(
 # Files allowed to touch raw std primitives: the wrapper itself.
 RAW_SYNC_EXEMPT = {"src/common/thread_annotations.h"}
 
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"(\w+)/')
 EPOCH_GUARD_RE = re.compile(r"\bEpochGuard\s+(\w+)\s*[({]")
 RELAXED_RE = re.compile(r"\bmemory_order_relaxed\b")
 RELAXED_OK_RE = re.compile(r"relaxed-ok:")
@@ -228,6 +249,31 @@ def lex_unjustified_relaxed(path, lines):
     return findings
 
 
+def lex_include_layering(path, lines, raw_lines):
+    parts = path.split("/")
+    if len(parts) < 3 or parts[0] != "src" or parts[1] not in LAYER_DEPS:
+        return []
+    layer = parts[1]
+    findings = []
+    for idx, (code, _comment) in enumerate(lines, start=1):
+        # The lexer blanks string literals, so take the path from the raw
+        # line, but only where the code part really is a directive.
+        if not code.lstrip().startswith("#"):
+            continue
+        m = INCLUDE_RE.match(raw_lines[idx - 1])
+        if not m:
+            continue
+        target = m.group(1)
+        if target == layer or target not in LAYER_DEPS:
+            continue
+        if target not in LAYER_DEPS[layer]:
+            findings.append(Finding(
+                "include-layering", path, idx,
+                f"{layer} includes {target}/, which is not below it in "
+                f"the src/CMakeLists.txt layer DAG"))
+    return findings
+
+
 # --------------------------------------------------------------------------
 # .tsan-suppressions rule
 # --------------------------------------------------------------------------
@@ -302,6 +348,8 @@ def run(repo_root, baseline_path, update_baseline):
         findings.extend(lex_epoch_guard_blocking(rel, lines))
         findings.extend(lex_raw_std_sync(rel, lines))
         findings.extend(lex_unjustified_relaxed(rel, lines))
+        findings.extend(lex_include_layering(rel, lines,
+                                             texts[rel].splitlines()))
     findings.extend(check_tsan_suppressions(repo_root, texts))
 
     if update_baseline:

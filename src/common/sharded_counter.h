@@ -2,7 +2,6 @@
 #define SKEENA_COMMON_SHARDED_COUNTER_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 
@@ -17,23 +16,9 @@ namespace skeena {
 /// Read() is monotonic over quiescent points, but a concurrent Read() is
 /// only an instantaneous approximation — exactly what stats counters need
 /// and nothing more.
-///
-/// Optionally (constructor opt-in) Read() serves a *tick-refreshed fold
-/// cache*: the O(kShards) fold runs at most once per tick and everyone
-/// else reads one cached word. Use this for counters polled from paths
-/// that run often (reclamation triggers, bench sampling loops); leave it
-/// off (default) where tests assert exact post-quiescence values.
 class ShardedCounter {
  public:
   ShardedCounter() = default;
-
-  /// `read_cache_ns > 0`: Read() may return a fold up to that many
-  /// nanoseconds stale. The cache is monotone (CAS-max of every fold ever
-  /// taken), so a cached read never goes below a previously returned
-  /// value, and any increment is reflected by every Read() that starts
-  /// more than one tick after it.
-  explicit ShardedCounter(uint64_t read_cache_ns)
-      : read_cache_ns_(read_cache_ns) {}
 
   ShardedCounter(const ShardedCounter&) = delete;
   ShardedCounter& operator=(const ShardedCounter&) = delete;
@@ -48,32 +33,8 @@ class ShardedCounter {
     return Shard().fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// Folds all shards — O(kShards) relaxed loads — or, when a read cache
-  /// was configured and its tick has not elapsed, returns the cached fold
-  /// (one load). See the constructor for the staleness bound.
+  /// Folds all shards: O(kShards) relaxed loads.
   uint64_t Read() const {
-    if (read_cache_ns_ == 0) return Fold();
-    int64_t now = NowNs();
-    int64_t stamp = cache_stamp_.load(std::memory_order_acquire);
-    if (stamp != 0 && now - stamp < static_cast<int64_t>(read_cache_ns_)) {
-      return cache_value_.value.load(std::memory_order_relaxed);
-    }
-    uint64_t total = Fold();
-    // CAS-max, and return the *resulting* cache value rather than this
-    // thread's own fold: a refresher preempted mid-fold may hold a total
-    // older than what a faster refresher already published, and returning
-    // it would make the counter appear to go backwards across readers.
-    uint64_t published = AtomicFetchMax(cache_value_.value, total,
-                                        std::memory_order_relaxed);
-    cache_stamp_.store(now, std::memory_order_release);
-    return published;
-  }
-
- private:
-  static constexpr size_t kShards = 64;
-  static_assert((kShards & (kShards - 1)) == 0, "kShards must be power of 2");
-
-  uint64_t Fold() const {
     uint64_t total = 0;
     for (const auto& s : shards_) {
       total += s.value.load(std::memory_order_relaxed);
@@ -81,11 +42,9 @@ class ShardedCounter {
     return total;
   }
 
-  static int64_t NowNs() {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
+ private:
+  static constexpr size_t kShards = 64;
+  static_assert((kShards & (kShards - 1)) == 0, "kShards must be power of 2");
 
   static size_t ThreadShardIndex() {
     static std::atomic<size_t> next{0};
@@ -97,10 +56,6 @@ class ShardedCounter {
   std::atomic<uint64_t>& Shard() {
     return shards_[ThreadShardIndex()].value;
   }
-
-  const uint64_t read_cache_ns_ = 0;
-  mutable Padded<std::atomic<uint64_t>> cache_value_;
-  mutable std::atomic<int64_t> cache_stamp_{0};
 
   Padded<std::atomic<uint64_t>> shards_[kShards];
 };

@@ -56,37 +56,38 @@ std::unique_ptr<StorageDevice> MakeLogDevice(const DatabaseOptions& options,
   return OpenOrDie(SegmentedLogDevice::Open(path, seg), path);
 }
 
-}  // namespace
-
-Database::Database(DatabaseOptions options)
-    : options_(std::move(options)), csr_(options_.csr, &epoch_) {
+/// Fills in the engine options the database derives from its own.
+DatabaseOptions WithEngineDefaults(DatabaseOptions options) {
   // Table-space devices for stordb.
-  if (!options_.data_dir.empty() && !options_.stor.device_factory) {
-    std::string dir = options_.data_dir;
-    DeviceLatency latency = options_.stor.data_latency;
-    options_.stor.device_factory =
-        [dir, latency](const std::string& name) {
-          return MakeDevice(dir, "table_" + name + ".tbl", latency);
-        };
+  if (!options.data_dir.empty() && !options.stor.device_factory) {
+    std::string dir = options.data_dir;
+    DeviceLatency latency = options.stor.data_latency;
+    options.stor.device_factory = [dir, latency](const std::string& name) {
+      return MakeDevice(dir, "table_" + name + ".tbl", latency);
+    };
   }
-
   // Replica hygiene: local read-only transactions must not log commit
   // records into the replica's own WAL — their gtids are drawn from the
   // replica's counter and would collide with replayed primary gtids.
-  if (options_.replica) options_.mem.log_read_only_commits = false;
+  if (options.replica) options.mem.log_read_only_commits = false;
+  return options;
+}
 
-  // Both engines share the database-owned epoch domain, so one grace
-  // period covers CSR partition lists, memdb versions and stordb undos.
-  mem_owned_ = std::make_unique<MemEngineAdapter>(
-      MakeLogDevice(options_, "mem.log"), options_.mem, &epoch_);
-  stor_owned_ = std::make_unique<StorEngineAdapter>(
-      MakeLogDevice(options_, "stor.log"), options_.stor, &epoch_);
-  mem_ = mem_owned_.get();
-  stor_ = stor_owned_.get();
-  engines_[static_cast<int>(EngineKind::kMem)] = mem_;
-  engines_[static_cast<int>(EngineKind::kStor)] = stor_;
-  anchor_index_ = static_cast<int>(options_.anchor);
+}  // namespace
 
+static_assert(static_cast<int>(EngineKind::kMem) == 0 &&
+                  static_cast<int>(EngineKind::kStor) == 1,
+              "engines_ is indexed by EngineKind");
+
+// Both engines share the database-owned epoch domain, so one grace period
+// covers CSR partition lists, memdb versions and stordb undos.
+Database::Database(DatabaseOptions options)
+    : options_(WithEngineDefaults(std::move(options))),
+      mem_(MakeLogDevice(options_, "mem.log"), options_.mem, &epoch_),
+      stor_(MakeLogDevice(options_, "stor.log"), options_.stor, &epoch_),
+      engines_{&mem_, &stor_},
+      anchor_index_(static_cast<int>(options_.anchor)),
+      csr_(options_.csr, &epoch_) {
   // Engine-side GC pinning (the engine analogue of CSR recycling,
   // Section 4.4): a live transaction's anchor snapshot must keep BOTH
   // engines readable for a crossing it has not made yet. The anchor engine
@@ -119,13 +120,13 @@ Database::Database(DatabaseOptions options)
     };
     csr_.SetMinAnchorProvider(replica_min_anchor);
     if (mem_is_anchor) {
-      mem_->engine()->SetGcHorizonProvider(replica_min_anchor);
-      stor_->engine()->SetPurgeHorizonProvider(replica_min_other);
+      mem_.SetGcHorizonProvider(replica_min_anchor);
+      stor_.SetPurgeHorizonProvider(replica_min_other);
     } else {
-      stor_->engine()->SetPurgeHorizonProvider([replica_min_anchor] {
+      stor_.SetPurgeHorizonProvider([replica_min_anchor] {
         return replica_min_anchor() + 1;
       });
-      mem_->engine()->SetGcHorizonProvider([this] {
+      mem_.SetGcHorizonProvider([this] {
         // replica_other_registry_ holds ser-style horizons (value + 1);
         // memdb wants plain snapshots.
         return replica_other_registry_.MinActive(
@@ -145,17 +146,17 @@ Database::Database(DatabaseOptions options)
   // memdb registers plain snapshots; stordb registers view horizons
   // (ser_limit + 1) — hence the +1 on the stordb bounds.
   if (mem_is_anchor) {
-    mem_->engine()->SetGcHorizonProvider(min_anchor);
-    stor_->engine()->SetPurgeHorizonProvider([min_other] {
+    mem_.SetGcHorizonProvider(min_anchor);
+    stor_.SetPurgeHorizonProvider([min_other] {
       Timestamp v = min_other();
       return v == kMaxTimestamp ? v : v + 1;
     });
   } else {
-    stor_->engine()->SetPurgeHorizonProvider([min_anchor] {
+    stor_.SetPurgeHorizonProvider([min_anchor] {
       Timestamp v = min_anchor();
       return v == kMaxTimestamp ? v : v + 1;
     });
-    mem_->engine()->SetGcHorizonProvider(min_other);
+    mem_.SetGcHorizonProvider(min_other);
   }
 
   pipeline_ = std::make_unique<CommitPipeline>(engines_[0]->Log(),
@@ -252,21 +253,12 @@ Status Database::Recover() {
   // One engine's committed groups in memory at a time.
   std::vector<CommittedGroup> groups;
   SKEENA_RETURN_NOT_OK(
-      ReadCommittedGroups(mem_->Log()->device(), torn, &groups));
-  SKEENA_RETURN_NOT_OK(mem_->engine()->ApplyRecovered(std::move(groups)));
+      ReadCommittedGroups(mem_.Log()->device(), torn, &groups));
+  SKEENA_RETURN_NOT_OK(mem_.ApplyRecovered(std::move(groups)));
   groups = {};
   SKEENA_RETURN_NOT_OK(
-      ReadCommittedGroups(stor_->Log()->device(), torn, &groups));
-  return stor_->engine()->ApplyRecovered(groups);
-}
-
-Database::Stats Database::stats() {
-  Stats s;
-  s.csr = csr_.stats();
-  s.mem = mem_->engine()->stats();
-  s.stor = stor_->engine()->stats();
-  s.commits_completed = pipeline_->completed();
-  return s;
+      ReadCommittedGroups(stor_.Log()->device(), torn, &groups));
+  return stor_.ApplyRecovered(groups);
 }
 
 }  // namespace skeena

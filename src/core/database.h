@@ -13,11 +13,12 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
-#include "core/adapters.h"
 #include "core/commit_pipeline.h"
 #include "core/csr.h"
-#include "core/engine_iface.h"
 #include "core/history.h"
+#include "log/engine_iface.h"
+#include "memdb/mem_engine.h"
+#include "stordb/stor_engine.h"
 
 namespace skeena {
 
@@ -121,8 +122,8 @@ class Database {
   EngineIface* engine(EngineKind kind) {
     return engines_[static_cast<int>(kind)];
   }
-  MemEngineAdapter* mem() { return mem_; }
-  StorEngineAdapter* stor() { return stor_; }
+  memdb::MemEngine* mem() { return &mem_; }
+  stordb::StorEngine* stor() { return &stor_; }
   int anchor_index() const { return anchor_index_; }
   bool skeena_enabled() const { return options_.enable_skeena; }
   IsolationLevel default_isolation() const {
@@ -177,14 +178,6 @@ class Database {
     return active_txns_.load(std::memory_order_relaxed);
   }
 
-  struct Stats {
-    SnapshotRegistry::Stats csr;
-    memdb::MemEngine::Stats mem;
-    stordb::StorEngine::Stats stor;
-    uint64_t commits_completed;
-  };
-  Stats stats();
-
  private:
   friend class Transaction;  // maintains active_txns_ across its lifecycle
 
@@ -200,11 +193,10 @@ class Database {
   // then drains its limbo.
   EpochManager epoch_;
 
-  std::unique_ptr<MemEngineAdapter> mem_owned_;
-  std::unique_ptr<StorEngineAdapter> stor_owned_;
-  MemEngineAdapter* mem_;
-  StorEngineAdapter* stor_;
-  EngineIface* engines_[kNumEngines];
+  memdb::MemEngine mem_;
+  stordb::StorEngine stor_;
+  // The two engines, indexed by EngineKind.
+  EngineIface* const engines_[kNumEngines];
   int anchor_index_;
 
   SnapshotRegistry csr_;

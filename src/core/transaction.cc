@@ -121,28 +121,16 @@ Status Transaction::PrepareAccess(int e) {
     db_->anchor_registry().BeginAcquire(anchor_slot_);
     anchor_snap_ = db_->engine(anchor)->LatestSnapshot();
     db_->anchor_registry().SetSnapshot(anchor_slot_, anchor_snap_);
-    Status refreshed;
-    Timestamp selected = anchor_snap_;
-    if (e == anchor) {
-      refreshed = db_->engine(e)->RefreshSnapshot(subs_[e].get(),
-                                                  anchor_snap_);
-    } else {
-      auto sel = db_->csr().SelectSnapshot(anchor_snap_, [this, e] {
-        return db_->engine(e)->LatestSnapshot();
-      });
-      if (!sel.ok()) {
-        Abort();
-        return sel.status();
-      }
-      selected = *sel;
-      refreshed = db_->engine(e)->RefreshSnapshot(subs_[e].get(), *sel);
-    }
+    Result<Timestamp> selected = SelectSnapshot(e);
+    if (!selected.ok()) return selected.status();
+    Status refreshed =
+        db_->engine(e)->RefreshSnapshot(subs_[e].get(), *selected);
     if (!refreshed.ok()) {
       Abort();
       return refreshed;
     }
     if (hist_) {
-      hist_snap_[e] = selected;
+      hist_snap_[e] = *selected;
       hist_->anchor_snap = anchor_snap_;
     }
     return Status::OK();
@@ -154,20 +142,10 @@ Status Transaction::PrepareAccess(int e) {
   // from the anchor's snapshot order (Section 4.3) — even if it never
   // touches anchor data.
   SKEENA_RETURN_NOT_OK(EnsureAnchorSnapshot());
-  Timestamp selected = anchor_snap_;
-  if (e == anchor) {
-    subs_[e] = db_->engine(e)->Begin(iso_, anchor_snap_);
-  } else {
-    auto sel = db_->csr().SelectSnapshot(anchor_snap_, [this, e] {
-      return db_->engine(e)->LatestSnapshot();
-    });
-    if (!sel.ok()) {
-      Abort();
-      return sel.status();
-    }
-    selected = *sel;
-    subs_[e] = db_->engine(e)->Begin(iso_, *sel);
-  }
+  Result<Timestamp> sel = SelectSnapshot(e);
+  if (!sel.ok()) return sel.status();
+  Timestamp selected = *sel;
+  subs_[e] = db_->engine(e)->Begin(iso_, selected);
   if (subs_[e] == nullptr) {
     // The engine refused the snapshot: its GC/purge floor moved past it
     // between selection and registration. Retryable, like a CSR abort.
@@ -189,8 +167,16 @@ Status Transaction::PrepareAccess(int e) {
   return Status::OK();
 }
 
-Status Transaction::HandleOpStatus(int e, Status s) {
-  (void)e;
+Result<Timestamp> Transaction::SelectSnapshot(int e) {
+  if (e == db_->anchor_index()) return anchor_snap_;
+  Result<Timestamp> sel = db_->csr().SelectSnapshot(anchor_snap_, [this, e] {
+    return db_->engine(e)->LatestSnapshot();
+  });
+  if (!sel.ok()) Abort();
+  return sel;
+}
+
+Status Transaction::HandleOpStatus(Status s) {
   if (s.IsAnyAbort()) {
     // The engine already rolled back its own sub-transaction; abort the
     // rest of the cross-engine transaction for atomicity.
@@ -222,7 +208,7 @@ Status Transaction::Get(const TableHandle& table, const Key& key,
     RecordOp(HistOpKind::kGet, e, table.local_id, key,
              s.ok() ? std::string_view(*value) : std::string_view(), s.ok());
   }
-  return HandleOpStatus(e, s);
+  return HandleOpStatus(s);
 }
 
 Status Transaction::Put(const TableHandle& table, const Key& key,
@@ -234,7 +220,7 @@ Status Transaction::Put(const TableHandle& table, const Key& key,
   if (hist_ && s.ok()) {
     RecordOp(HistOpKind::kPut, e, table.local_id, key, value, true);
   }
-  return HandleOpStatus(e, s);
+  return HandleOpStatus(s);
 }
 
 Status Transaction::Delete(const TableHandle& table, const Key& key) {
@@ -245,7 +231,7 @@ Status Transaction::Delete(const TableHandle& table, const Key& key) {
   if (hist_ && s.ok()) {
     RecordOp(HistOpKind::kDelete, e, table.local_id, key, {}, false);
   }
-  return HandleOpStatus(e, s);
+  return HandleOpStatus(s);
 }
 
 Status Transaction::Scan(
@@ -265,7 +251,7 @@ Status Transaction::Scan(
     s = db_->engine(e)->Scan(subs_[e].get(), table.local_id, lower, limit,
                              cb);
   }
-  return HandleOpStatus(e, s);
+  return HandleOpStatus(s);
 }
 
 Status Transaction::Get(const std::string& table, const Key& key,

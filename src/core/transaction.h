@@ -9,7 +9,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "core/database.h"
-#include "core/engine_iface.h"
+#include "log/engine_iface.h"
 
 namespace skeena {
 
@@ -73,11 +73,15 @@ class Transaction {
   // acquisition, CSR selection, read-committed refresh).
   Status PrepareAccess(int e);
   Status EnsureAnchorSnapshot();
+  // Engine `e`'s snapshot under the current anchor snapshot: the anchor
+  // snapshot itself in the anchor engine, the CSR's selection (Algorithm 1)
+  // in the other. A failed selection aborts the transaction.
+  Result<Timestamp> SelectSnapshot(int e);
   // Replica mode: pins the visibility-gate snapshot pair (both registries
   // pre-registered before the pair is read, so GC floors cannot pass it).
   Status EnsureReplicaSnapshots();
   // Aborts everything after an engine-level abort surfaced from a data op.
-  Status HandleOpStatus(int e, Status s);
+  Status HandleOpStatus(Status s);
   void ReleaseAnchorSlot();
   // Appends one op to the history record (no-op when not recording).
   void RecordOp(HistOpKind kind, int e, TableId table, const Key& key,

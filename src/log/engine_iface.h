@@ -1,5 +1,5 @@
-#ifndef SKEENA_CORE_ENGINE_IFACE_H_
-#define SKEENA_CORE_ENGINE_IFACE_H_
+#ifndef SKEENA_LOG_ENGINE_IFACE_H_
+#define SKEENA_LOG_ENGINE_IFACE_H_
 
 #include <functional>
 #include <memory>
@@ -13,8 +13,10 @@ namespace skeena {
 
 class LogManager;
 
-/// Opaque engine-level sub-transaction handle (paper Section 1.1: a
-/// cross-engine transaction consists of one sub-transaction per engine).
+/// Engine-level sub-transaction (paper Section 1.1: a cross-engine
+/// transaction consists of one sub-transaction per engine). Each engine's
+/// transaction type derives from it, so Begin hands out the engine's own
+/// object and the engine downcasts it at entry.
 class SubTxn {
  public:
   virtual ~SubTxn() = default;
@@ -24,7 +26,9 @@ class SubTxn {
 /// stay autonomous; the coordinator only needs snapshot-based begin, the
 /// pre-/post-commit split exposing commit timestamps, data access routing
 /// and durable-LSN visibility for the pipelined commit wait (the engine's
-/// LogManager, reached through Log()).
+/// LogManager, reached through Log()). memdb::MemEngine and
+/// stordb::StorEngine implement it directly; the contract lives at the log
+/// layer, the lowest one both engines depend on.
 ///
 /// Snapshot convention: `kMaxTimestamp` means "latest / native snapshot";
 /// any other value is a CSR-selected snapshot in this engine's commit-order
@@ -80,9 +84,9 @@ class EngineIface {
   /// This engine's write-ahead log. Every engine has one; the commit
   /// pipeline waits on its durable LSN, recovery pairs commit records
   /// across its device, and the replication shipper streams it.
-  virtual LogManager* Log() = 0;
+  virtual LogManager* Log() const = 0;
 };
 
 }  // namespace skeena
 
-#endif  // SKEENA_CORE_ENGINE_IFACE_H_
+#endif  // SKEENA_LOG_ENGINE_IFACE_H_

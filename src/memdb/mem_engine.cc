@@ -22,7 +22,9 @@ MemEngine::MemEngine(std::unique_ptr<StorageDevice> log_device,
 
 MemEngine::~MemEngine() = default;
 
-TableId MemEngine::CreateTable(const std::string& name) {
+TableId MemEngine::CreateTable(const std::string& name,
+                               size_t max_value_size) {
+  (void)max_value_size;
   MutexLock guard(tables_mu_);
   TableId id = static_cast<TableId>(tables_.size());
   tables_.push_back(std::make_unique<MemTable>(id, name));
@@ -35,13 +37,11 @@ MemTable* MemEngine::GetTable(TableId id) const {
   return tables_[id].get();
 }
 
-std::unique_ptr<MemTxn> MemEngine::Begin(IsolationLevel iso,
+std::unique_ptr<SubTxn> MemEngine::Begin(IsolationLevel iso,
                                          Timestamp snapshot) {
-  // kMaxTimestamp means "latest" like kInvalidTimestamp (the adapter's
-  // convention); it must never reach the registry, where it is the
-  // acquiring sentinel.
-  bool pinned =
-      snapshot != kInvalidTimestamp && snapshot != kMaxTimestamp;
+  // kMaxTimestamp means "latest"; it must never reach the registry, where
+  // it is the acquiring sentinel.
+  bool pinned = snapshot != kMaxTimestamp;
   // A pinned (coordinator-chosen) snapshot below the GC floor cannot be
   // served: versions it needs may already be unlinked. The floor cannot
   // move past a snapshot the CSR could still select (the coordinator's
@@ -60,10 +60,10 @@ std::unique_ptr<MemTxn> MemEngine::Begin(IsolationLevel iso,
   return std::make_unique<MemTxn>(snapshot, iso, slot);
 }
 
-Status MemEngine::RefreshSnapshot(MemTxn* txn, Timestamp snapshot) {
+Status MemEngine::RefreshSnapshot(SubTxn* sub, Timestamp snapshot) {
+  auto* txn = static_cast<MemTxn*>(sub);
   // Same kMaxTimestamp-means-latest convention as Begin.
-  bool pinned =
-      snapshot != kInvalidTimestamp && snapshot != kMaxTimestamp;
+  bool pinned = snapshot != kMaxTimestamp;
   // Same floor check as Begin; on failure the slot keeps its previous
   // registration (conservatively holding the floor down) until the caller
   // aborts the transaction.
@@ -90,8 +90,9 @@ Version* MemEngine::ReadVisible(Record* rec, Timestamp snapshot) const {
   return v;
 }
 
-Status MemEngine::Get(MemTxn* txn, TableId table, const Key& key,
+Status MemEngine::Get(SubTxn* sub, TableId table, const Key& key,
                       std::string* value) {
+  auto* txn = static_cast<MemTxn*>(sub);
   MemTable* t = GetTable(table);
   if (t == nullptr) return Status::InvalidArgument("no such table");
   Record* rec = t->Find(key);
@@ -119,8 +120,9 @@ Status MemEngine::Get(MemTxn* txn, TableId table, const Key& key,
   return Status::OK();
 }
 
-Status MemEngine::Put(MemTxn* txn, TableId table, const Key& key,
+Status MemEngine::Put(SubTxn* sub, TableId table, const Key& key,
                       std::string_view value) {
+  auto* txn = static_cast<MemTxn*>(sub);
   MemTable* t = GetTable(table);
   if (t == nullptr) return Status::InvalidArgument("no such table");
   Record* rec = t->FindOrCreate(key);
@@ -136,7 +138,8 @@ Status MemEngine::Put(MemTxn* txn, TableId table, const Key& key,
   return Status::OK();
 }
 
-Status MemEngine::Delete(MemTxn* txn, TableId table, const Key& key) {
+Status MemEngine::Delete(SubTxn* sub, TableId table, const Key& key) {
+  auto* txn = static_cast<MemTxn*>(sub);
   MemTable* t = GetTable(table);
   if (t == nullptr) return Status::InvalidArgument("no such table");
   Record* rec = t->Find(key);
@@ -151,8 +154,9 @@ Status MemEngine::Delete(MemTxn* txn, TableId table, const Key& key) {
 }
 
 Status MemEngine::Scan(
-    MemTxn* txn, TableId table, const Key& lower, size_t limit,
+    SubTxn* sub, TableId table, const Key& lower, size_t limit,
     const std::function<bool(const Key&, const std::string&)>& cb) {
+  auto* txn = static_cast<MemTxn*>(sub);
   MemTable* t = GetTable(table);
   if (t == nullptr) return Status::InvalidArgument("no such table");
   size_t delivered = 0;
@@ -203,7 +207,8 @@ void MemEngine::UnlatchWriteSet(MemTxn* txn) {
   txn->latched_ = false;
 }
 
-Status MemEngine::PreCommit(MemTxn* txn) {
+Status MemEngine::PreCommit(SubTxn* sub, Timestamp* commit_ts) {
+  auto* txn = static_cast<MemTxn*>(sub);
   assert(txn->state_ == MemTxn::State::kActive);
 
   if (txn->read_only()) {
@@ -219,6 +224,7 @@ Status MemEngine::PreCommit(MemTxn* txn) {
     }
     txn->commit_ts_ = txn->begin_ts();
     txn->state_ = MemTxn::State::kPreCommitted;
+    if (commit_ts != nullptr) *commit_ts = txn->commit_ts_;
     return Status::OK();
   }
 
@@ -265,6 +271,7 @@ Status MemEngine::PreCommit(MemTxn* txn) {
   // Pre-commit appends nothing: write images and the commit record are
   // logged at post-commit, outside the cross-engine ordered section.
   txn->state_ = MemTxn::State::kPreCommitted;
+  if (commit_ts != nullptr) *commit_ts = txn->commit_ts_;
   return Status::OK();
 }
 
@@ -281,7 +288,8 @@ void DeleteVersionChain(void* p) {
 }
 }  // namespace
 
-Lsn MemEngine::PostCommit(MemTxn* txn, GlobalTxnId gtid, bool cross_engine) {
+Lsn MemEngine::PostCommit(SubTxn* sub, GlobalTxnId gtid, bool cross_engine) {
+  auto* txn = static_cast<MemTxn*>(sub);
   assert(txn->state_ == MemTxn::State::kPreCommitted);
 
   // One floor load per commit; the floor only grows, so a stale value is
@@ -330,7 +338,8 @@ Lsn MemEngine::PostCommit(MemTxn* txn, GlobalTxnId gtid, bool cross_engine) {
   return lsn;
 }
 
-void MemEngine::Abort(MemTxn* txn) {
+void MemEngine::Abort(SubTxn* sub) {
+  auto* txn = static_cast<MemTxn*>(sub);
   if (txn->state_ == MemTxn::State::kCommitted ||
       txn->state_ == MemTxn::State::kAborted) {
     return;

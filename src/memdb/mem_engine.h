@@ -13,6 +13,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
+#include "log/engine_iface.h"
 #include "log/log_manager.h"
 #include "log/redo.h"
 #include "memdb/mem_table.h"
@@ -40,7 +41,10 @@ namespace skeena::memdb {
 /// the shared EpochManager. The floor is min(oldest registered snapshot,
 /// external GC-horizon provider) and only ever advances; pinned
 /// (coordinator-chosen) snapshots below it are rejected at Begin.
-class MemEngine {
+///
+/// Implements EngineIface: Begin hands out a MemTxn, and every transaction
+/// method downcasts its SubTxn back to one at entry.
+class MemEngine final : public EngineIface {
  public:
   /// First-chunk size of the active-snapshot registry (it grows by
   /// chunks, so this is not a cap on concurrent transactions).
@@ -67,20 +71,22 @@ class MemEngine {
   MemEngine(const MemEngine&) = delete;
   MemEngine& operator=(const MemEngine&) = delete;
 
+  EngineKind kind() const override { return EngineKind::kMem; }
+
   // ----------------------------------------------------------- schema
-  TableId CreateTable(const std::string& name);
+  /// memdb values are heap strings: `max_value_size` is not enforced.
+  TableId CreateTable(const std::string& name,
+                      size_t max_value_size) override;
   MemTable* GetTable(TableId id) const;
 
   // ------------------------------------------------------- transactions
   /// Latest engine snapshot: one atomic load (the cheap anchor-snapshot
   /// acquisition the paper leverages).
-  Timestamp LatestSnapshot() const {
+  Timestamp LatestSnapshot() const override {
     return clock_.load(std::memory_order_seq_cst);
   }
 
-  /// Begins a transaction. `snapshot == kInvalidTimestamp` (or
-  /// `kMaxTimestamp`, the adapter's "unconstrained" convention) means
-  /// "latest".
+  /// Begins a transaction. `snapshot == kMaxTimestamp` means "latest".
   /// A coordinator-chosen (cross-engine) snapshot that has already fallen
   /// below the version-GC floor returns nullptr: the versions it would read
   /// may be unlinked, so the caller must re-select (Skeena treats this like
@@ -91,43 +97,50 @@ class MemEngine {
   /// provider (the Database's anchor registration + CSR MinSelectableValue
   /// chain does exactly this); the floor check here only rejects snapshots
   /// that were already stale at selection time.
-  std::unique_ptr<MemTxn> Begin(IsolationLevel iso,
-                                Timestamp snapshot = kInvalidTimestamp);
+  std::unique_ptr<SubTxn> Begin(IsolationLevel iso,
+                                Timestamp snapshot = kMaxTimestamp) override;
 
   /// Re-acquires the transaction's snapshot (read-committed mode refreshes
-  /// on every record access, paper Table 2). `snapshot == kInvalidTimestamp`
+  /// on every record access, paper Table 2). `snapshot == kMaxTimestamp`
   /// means "latest"; a coordinator-chosen snapshot below the GC floor fails
   /// with kSkeenaAbort (like Begin, the caller must re-select).
-  Status RefreshSnapshot(MemTxn* txn,
-                         Timestamp snapshot = kInvalidTimestamp);
+  Status RefreshSnapshot(SubTxn* sub,
+                         Timestamp snapshot = kMaxTimestamp) override;
 
-  Status Get(MemTxn* txn, TableId table, const Key& key, std::string* value);
-  Status Put(MemTxn* txn, TableId table, const Key& key,
-             std::string_view value);
-  Status Delete(MemTxn* txn, TableId table, const Key& key);
+  Status Get(SubTxn* sub, TableId table, const Key& key,
+             std::string* value) override;
+  Status Put(SubTxn* sub, TableId table, const Key& key,
+             std::string_view value) override;
+  Status Delete(SubTxn* sub, TableId table, const Key& key) override;
 
   /// Visits visible rows with key >= lower in key order; stops when the
   /// callback returns false or `limit` rows were delivered (0 = unlimited).
   /// The callback runs outside the epoch pin (row values are copied out
   /// first), so it may block freely.
-  Status Scan(MemTxn* txn, TableId table, const Key& lower, size_t limit,
-              const std::function<bool(const Key&, const std::string&)>& cb);
+  Status Scan(SubTxn* sub, TableId table, const Key& lower, size_t limit,
+              const std::function<bool(const Key&, const std::string&)>& cb)
+      override;
+
+  bool IsReadOnly(const SubTxn* sub) const override {
+    return static_cast<const MemTxn*>(sub)->read_only();
+  }
 
   /// Pre-commit: latches the write set, draws the commit timestamp
   /// (fetch-add) and validates (first-committer-wins; OCC read validation
   /// under serializable). Logs nothing: images go out at post-commit. On
   /// failure the transaction is fully aborted. After success the
   /// transaction may still be aborted with Abort() (used when Skeena's
-  /// commit check fails).
-  Status PreCommit(MemTxn* txn);
+  /// commit check fails). Stores the commit timestamp in `*commit_ts`
+  /// unless it is null.
+  Status PreCommit(SubTxn* sub, Timestamp* commit_ts = nullptr) override;
 
   /// Post-commit: installs the buffered versions (results become visible),
   /// releases latches and appends the commit / commit-end record. Returns
   /// the LSN the commit is durable at.
-  Lsn PostCommit(MemTxn* txn, GlobalTxnId gtid, bool cross_engine);
+  Lsn PostCommit(SubTxn* sub, GlobalTxnId gtid, bool cross_engine) override;
 
   /// Aborts an active or pre-committed transaction.
-  void Abort(MemTxn* txn);
+  void Abort(SubTxn* sub) override;
 
   // ------------------------------------------------------- replication
   /// Commit horizon for log shipping: every commit with cts <= the returned
@@ -147,7 +160,11 @@ class MemEngine {
   Status ApplyReplicated(CommittedGroup&& group);
 
   // ------------------------------------------------------------- misc
-  LogManager* log() const { return log_.get(); }
+  LogManager* Log() const override { return log_.get(); }
+
+  /// Compatibility shim: benchsuite/harness.cc reads
+  /// `db->mem()->engine()->stats()`. Retired by ROADMAP direction 1.
+  MemEngine* engine() { return this; }
 
   /// Reclamation domain versions retire through (the database-owned manager
   /// unless this engine runs standalone).
@@ -229,13 +246,10 @@ class MemEngine {
   std::function<Timestamp()> gc_horizon_provider_;
 
   // Hot-path counters are sharded so committing threads never contend on
-  // a stats cache line. The prune diagnostic additionally carries a
-  // tick-refreshed fold cache: it sits on the reclamation path and may be
-  // polled at sampling frequency, and a 50µs-stale monotone count is
-  // indistinguishable from an exact one there.
+  // a stats cache line; only stats() folds them.
   ShardedCounter commit_count_;
   ShardedCounter abort_count_;
-  ShardedCounter pruned_count_{/*read_cache_ns=*/50'000};
+  ShardedCounter pruned_count_;
 
   mutable Mutex tables_mu_;
   std::vector<std::unique_ptr<MemTable>> tables_ SKEENA_GUARDED_BY(tables_mu_);

@@ -8,6 +8,7 @@
 
 #include "common/encoding.h"
 #include "common/types.h"
+#include "log/engine_iface.h"
 #include "memdb/mem_table.h"
 
 namespace skeena::memdb {
@@ -19,7 +20,7 @@ namespace skeena::memdb {
 /// has to undo anything in shared state. This realizes the pre-/post-commit
 /// split the paper relies on (Section 4.5): pre-commit assigns the commit
 /// timestamp and validates; post-commit makes results visible.
-class MemTxn {
+class MemTxn final : public SubTxn {
  public:
   enum class State : uint8_t {
     kActive,

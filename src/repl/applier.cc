@@ -219,9 +219,9 @@ Status Replica::HandleCsr(const server::ReplCsrBatch& batch) {
 
 Status Replica::ApplyGroup(int e, CommittedGroup&& group) {
   if (e == kMemIndex) {
-    return db_->mem()->engine()->ApplyReplicated(std::move(group));
+    return db_->mem()->ApplyReplicated(std::move(group));
   }
-  stordb::StorEngine* stor = db_->stor()->engine();
+  stordb::StorEngine* stor = db_->stor();
   auto txn = stor->Begin(IsolationLevel::kSnapshot, kMaxTimestamp);
   if (!txn) return Status::IOError("replica stordb Begin failed");
   for (const LogRecord& rec : group.records) {

@@ -188,8 +188,8 @@ void Shipper::Serve(int fd) {
     // below return immediately instead of sleeping on a stale sample.
     uint32_t seen = progress_seq_.load(std::memory_order_acquire);
     if (!have_wm) {
-      Timestamp mem_h = db_->mem()->engine()->ReplicationHorizon();
-      Timestamp stor_h = db_->stor()->engine()->ReplicationHorizon();
+      Timestamp mem_h = db_->mem()->ReplicationHorizon();
+      Timestamp stor_h = db_->stor()->ReplicationHorizon();
       target[kMemIndex] = db_->engine(kMemIndex)->Log()->CurrentLsn();
       target[kStorIndex] = db_->engine(kStorIndex)->Log()->CurrentLsn();
       csr_target = journal_->size();

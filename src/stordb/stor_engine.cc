@@ -64,8 +64,8 @@ StorEngine::StorTable* StorEngine::GetTable(TableId id) const {
   return tables_[id].get();
 }
 
-std::unique_ptr<StorTxn> StorEngine::Begin(IsolationLevel iso,
-                                           Timestamp snapshot) {
+std::unique_ptr<SubTxn> StorEngine::Begin(IsolationLevel iso,
+                                          Timestamp snapshot) {
   auto txn = std::make_unique<StorTxn>(iso);
   // relaxed-ok: lock-owner ids only need uniqueness.
   txn->lock_owner_ = next_lock_owner_.fetch_add(1, std::memory_order_relaxed);
@@ -128,7 +128,8 @@ Status StorEngine::EnsureView(StorTxn* txn) {
   return Status::OK();
 }
 
-Status StorEngine::RefreshSnapshot(StorTxn* txn, Timestamp snapshot) {
+Status StorEngine::RefreshSnapshot(SubTxn* sub, Timestamp snapshot) {
+  auto* txn = static_cast<StorTxn*>(sub);
   if (txn->has_view_) {
     trx_sys_.view_registry().Release(txn->view_slot_);
     txn->has_view_ = false;
@@ -198,8 +199,9 @@ Status StorEngine::ReadVisibleRow(StorTxn* txn, StorTable* t, Rid rid,
   return Status::OK();
 }
 
-Status StorEngine::Get(StorTxn* txn, TableId table, const Key& key,
+Status StorEngine::Get(SubTxn* sub, TableId table, const Key& key,
                        std::string* value) {
+  auto* txn = static_cast<StorTxn*>(sub);
   StorTable* t = GetTable(table);
   if (t == nullptr) return Status::InvalidArgument("no such table");
   SKEENA_RETURN_NOT_OK(EnsureView(txn));
@@ -221,8 +223,9 @@ Status StorEngine::Get(StorTxn* txn, TableId table, const Key& key,
 }
 
 Status StorEngine::Scan(
-    StorTxn* txn, TableId table, const Key& lower, size_t limit,
+    SubTxn* sub, TableId table, const Key& lower, size_t limit,
     const std::function<bool(const Key&, const std::string&)>& cb) {
+  auto* txn = static_cast<StorTxn*>(sub);
   StorTable* t = GetTable(table);
   if (t == nullptr) return Status::InvalidArgument("no such table");
   SKEENA_RETURN_NOT_OK(EnsureView(txn));
@@ -373,22 +376,25 @@ Status StorEngine::WriteRow(StorTxn* txn, StorTable* t, const Key& key,
   return Status::Busy("insert race");
 }
 
-Status StorEngine::Put(StorTxn* txn, TableId table, const Key& key,
+Status StorEngine::Put(SubTxn* sub, TableId table, const Key& key,
                        std::string_view value) {
   StorTable* t = GetTable(table);
   if (t == nullptr) return Status::InvalidArgument("no such table");
-  return WriteRow(txn, t, key, value, /*tombstone=*/false);
+  return WriteRow(static_cast<StorTxn*>(sub), t, key, value,
+                  /*tombstone=*/false);
 }
 
-Status StorEngine::Delete(StorTxn* txn, TableId table, const Key& key) {
+Status StorEngine::Delete(SubTxn* sub, TableId table, const Key& key) {
   StorTable* t = GetTable(table);
   if (t == nullptr) return Status::InvalidArgument("no such table");
   uint64_t ridv = 0;
   if (!t->index.Lookup(key, &ridv)) return Status::NotFound();
-  return WriteRow(txn, t, key, std::string_view(), /*tombstone=*/true);
+  return WriteRow(static_cast<StorTxn*>(sub), t, key, std::string_view(),
+                  /*tombstone=*/true);
 }
 
-Status StorEngine::PreCommit(StorTxn* txn) {
+Status StorEngine::PreCommit(SubTxn* sub, Timestamp* commit_ts) {
+  auto* txn = static_cast<StorTxn*>(sub);
   assert(txn->state_ == StorTxn::State::kActive);
 
   if (txn->read_only()) {
@@ -396,6 +402,7 @@ Status StorEngine::PreCommit(StorTxn* txn) {
                        ? txn->view_.ser_limit
                        : trx_sys_.LatestSerSnapshot();
     txn->state_ = StorTxn::State::kPreCommitted;
+    if (commit_ts != nullptr) *commit_ts = txn->ser_no_;
     return Status::OK();
   }
 
@@ -411,10 +418,12 @@ Status StorEngine::PreCommit(StorTxn* txn) {
   // post-commit, keeping the cross-engine ordered section log-free (see
   // MemEngine::PreCommit).
   txn->state_ = StorTxn::State::kPreCommitted;
+  if (commit_ts != nullptr) *commit_ts = txn->ser_no_;
   return Status::OK();
 }
 
-Lsn StorEngine::PostCommit(StorTxn* txn, GlobalTxnId gtid, bool cross_engine) {
+Lsn StorEngine::PostCommit(SubTxn* sub, GlobalTxnId gtid, bool cross_engine) {
+  auto* txn = static_cast<StorTxn*>(sub);
   assert(txn->state_ == StorTxn::State::kPreCommitted);
 
   RedoWriter redo(log_.get(), gtid, txn->ser_no_);
@@ -447,8 +456,9 @@ Timestamp StorEngine::ReplicationHorizon() const {
   return committing_.MinActive(latest + 1) - 1;
 }
 
-Lsn StorEngine::CommitReplicated(StorTxn* txn, GlobalTxnId gtid,
+Lsn StorEngine::CommitReplicated(SubTxn* sub, GlobalTxnId gtid,
                                  uint64_t ser) {
+  auto* txn = static_cast<StorTxn*>(sub);
   assert(txn->state_ == StorTxn::State::kActive);
   assert(!txn->read_only());
   trx_sys_.ForceSerNo(txn->tid_, ser);
@@ -457,7 +467,8 @@ Lsn StorEngine::CommitReplicated(StorTxn* txn, GlobalTxnId gtid,
   return PostCommit(txn, gtid, /*cross_engine=*/false);
 }
 
-void StorEngine::Abort(StorTxn* txn) {
+void StorEngine::Abort(SubTxn* sub) {
+  auto* txn = static_cast<StorTxn*>(sub);
   if (txn->state_ == StorTxn::State::kCommitted ||
       txn->state_ == StorTxn::State::kAborted) {
     return;

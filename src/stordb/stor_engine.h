@@ -14,6 +14,7 @@
 #include "common/thread_annotations.h"
 #include "common/types.h"
 #include "index/btree.h"
+#include "log/engine_iface.h"
 #include "log/log_manager.h"
 #include "log/redo.h"
 #include "stordb/buffer_pool.h"
@@ -48,7 +49,10 @@ namespace skeena::stordb {
 /// floor — min(oldest registered view horizon, external provider) —
 /// forwards ripe batches to the shared EpochManager, which frees them
 /// after the grace period.
-class StorEngine {
+///
+/// Implements EngineIface: Begin hands out a StorTxn, and every
+/// transaction method downcasts its SubTxn back to one at entry.
+class StorEngine final : public EngineIface {
  public:
   using DeviceFactory =
       std::function<std::unique_ptr<StorageDevice>(const std::string& name)>;
@@ -78,12 +82,17 @@ class StorEngine {
   StorEngine(const StorEngine&) = delete;
   StorEngine& operator=(const StorEngine&) = delete;
 
+  EngineKind kind() const override { return EngineKind::kStor; }
+
   // ----------------------------------------------------------- schema
-  TableId CreateTable(const std::string& name, size_t max_value_size);
+  TableId CreateTable(const std::string& name,
+                      size_t max_value_size) override;
 
   // ------------------------------------------------------- transactions
   /// Latest commit-order snapshot (for CSR Algorithm 1's fallback).
-  Timestamp LatestSnapshot() const { return trx_sys_.LatestSerSnapshot(); }
+  Timestamp LatestSnapshot() const override {
+    return trx_sys_.LatestSerSnapshot();
+  }
 
   /// Begins a transaction. `snapshot == kMaxTimestamp` requests a native
   /// InnoDB-style read view (created lazily at first access); any other
@@ -92,12 +101,13 @@ class StorEngine {
   /// Returns nullptr when a CSR-selected snapshot has fallen below the
   /// undo-purge floor (the caller must re-select; Skeena retries with a
   /// fresh snapshot).
-  std::unique_ptr<StorTxn> Begin(IsolationLevel iso,
-                                 Timestamp snapshot = kMaxTimestamp);
+  std::unique_ptr<SubTxn> Begin(IsolationLevel iso,
+                                Timestamp snapshot = kMaxTimestamp) override;
 
   /// Replaces the transaction's view (read-committed refresh). Fails with
   /// kSkeenaAbort when a CSR-selected snapshot predates the purge floor.
-  Status RefreshSnapshot(StorTxn* txn, Timestamp snapshot = kMaxTimestamp);
+  Status RefreshSnapshot(SubTxn* sub,
+                         Timestamp snapshot = kMaxTimestamp) override;
 
   /// External bound on the purge horizon (exclusive, in ser-number space):
   /// the coordinator supplies the smallest view horizon a live cross-engine
@@ -107,25 +117,32 @@ class StorEngine {
     purge_horizon_provider_ = std::move(provider);
   }
 
-  Status Get(StorTxn* txn, TableId table, const Key& key, std::string* value);
-  Status Put(StorTxn* txn, TableId table, const Key& key,
-             std::string_view value);
-  Status Delete(StorTxn* txn, TableId table, const Key& key);
-  Status Scan(StorTxn* txn, TableId table, const Key& lower, size_t limit,
-              const std::function<bool(const Key&, const std::string&)>& cb);
+  Status Get(SubTxn* sub, TableId table, const Key& key,
+             std::string* value) override;
+  Status Put(SubTxn* sub, TableId table, const Key& key,
+             std::string_view value) override;
+  Status Delete(SubTxn* sub, TableId table, const Key& key) override;
+  Status Scan(SubTxn* sub, TableId table, const Key& lower, size_t limit,
+              const std::function<bool(const Key&, const std::string&)>& cb)
+      override;
 
-  /// Pre-commit: assigns the serialisation number. Logs nothing (redo
-  /// images go out at post-commit). Locks remain held. On failure the
-  /// transaction is rolled back.
-  Status PreCommit(StorTxn* txn);
+  bool IsReadOnly(const SubTxn* sub) const override {
+    return static_cast<const StorTxn*>(sub)->read_only();
+  }
+
+  /// Pre-commit: assigns the serialisation number and stores it in
+  /// `*commit_ts` unless that is null. Logs nothing (redo images go out at
+  /// post-commit). Locks remain held. On failure the transaction is rolled
+  /// back.
+  Status PreCommit(SubTxn* sub, Timestamp* commit_ts = nullptr) override;
 
   /// Post-commit: publishes the commit, appends the commit (or commit-end)
   /// record, releases locks. Returns the commit record's LSN.
-  Lsn PostCommit(StorTxn* txn, GlobalTxnId gtid, bool cross_engine);
+  Lsn PostCommit(SubTxn* sub, GlobalTxnId gtid, bool cross_engine) override;
 
   /// Aborts an active or pre-committed transaction: rolls back in-place
   /// changes from undo, then releases locks.
-  void Abort(StorTxn* txn);
+  void Abort(SubTxn* sub) override;
 
   // ------------------------------------------------------- replication
   /// Commit horizon for log shipping (see MemEngine::ReplicationHorizon):
@@ -140,10 +157,15 @@ class StorEngine {
   /// publication, lock release). The transaction must have been built
   /// through the public write path (Begin + Put/Delete) and must not be
   /// read-only. Call in ascending-ser order (single applier thread).
-  Lsn CommitReplicated(StorTxn* txn, GlobalTxnId gtid, uint64_t ser);
+  Lsn CommitReplicated(SubTxn* sub, GlobalTxnId gtid, uint64_t ser);
 
   // ------------------------------------------------------------- misc
-  LogManager* log() const { return log_.get(); }
+  LogManager* Log() const override { return log_.get(); }
+
+  /// Compatibility shim: benchsuite/harness.cc reads
+  /// `db->stor()->engine()->stats()` and `->pool()`. Retired by ROADMAP
+  /// direction 1.
+  StorEngine* engine() { return this; }
   BufferPool* pool() { return pool_.get(); }
   TrxSys* trx_sys() { return &trx_sys_; }
   LockManager* lock_manager() { return &locks_; }
@@ -281,11 +303,10 @@ class StorEngine {
 
   // Hot-path counters are sharded so committing threads never contend on
   // a stats cache line; MaybePurge triggers off the committing thread's
-  // shard-local count instead of a folded total. The purge diagnostic
-  // carries a tick-refreshed fold cache (see MemEngine::pruned_count_).
+  // shard-local count instead of a folded total. Only stats() folds them.
   ShardedCounter commit_count_;
   ShardedCounter abort_count_;
-  ShardedCounter undo_purged_{/*read_cache_ns=*/50'000};
+  ShardedCounter undo_purged_;
 };
 
 }  // namespace skeena::stordb

@@ -12,6 +12,7 @@
 
 #include "common/encoding.h"
 #include "common/types.h"
+#include "log/engine_iface.h"
 #include "stordb/page.h"
 #include "stordb/trx_sys.h"
 
@@ -198,7 +199,7 @@ static_assert(std::is_trivially_destructible_v<UndoRecord> &&
 /// pre-/post-commit split (serialisation_no assignment vs. making the
 /// commit visible and releasing locks) is the interface Skeena's commit
 /// protocol drives (paper Sections 4.5 and 5).
-class StorTxn {
+class StorTxn final : public SubTxn {
  public:
   enum class State : uint8_t {
     kActive,

@@ -38,7 +38,7 @@ TEST(DatabaseTest, GtidsAreUnique) {
   EXPECT_NE(a->gtid(), b->gtid());
 }
 
-TEST(DatabaseTest, StatsAggregateEngineCounters) {
+TEST(DatabaseTest, ComponentStatsCountCrossEngineCommits) {
   Database db{DatabaseOptions{}};
   auto m = *db.CreateTable("m", EngineKind::kMem);
   auto s = *db.CreateTable("s", EngineKind::kStor);
@@ -48,11 +48,10 @@ TEST(DatabaseTest, StatsAggregateEngineCounters) {
     ASSERT_TRUE(txn->Put(s, MakeKey(i), "x").ok());
     ASSERT_TRUE(txn->Commit().ok());
   }
-  auto stats = db.stats();
-  EXPECT_EQ(stats.mem.commits, 5u);
-  EXPECT_EQ(stats.stor.commits, 5u);
-  EXPECT_GE(stats.csr.mappings, 5u);
-  EXPECT_EQ(stats.commits_completed, 5u);
+  EXPECT_EQ(db.mem()->stats().commits, 5u);
+  EXPECT_EQ(db.stor()->stats().commits, 5u);
+  EXPECT_GE(db.csr().stats().mappings, 5u);
+  EXPECT_EQ(db.pipeline().completed(), 5u);
 }
 
 TEST(DatabaseTest, NameBasedAccessors) {
@@ -179,8 +178,65 @@ TEST(DatabaseTest, MemGcPrunesDuringCrossWorkload) {
     ASSERT_TRUE(txn->Put(m, MakeKey(1), std::to_string(i)).ok());
     ASSERT_TRUE(txn->Commit().ok());
   }
-  EXPECT_GT(db.stats().mem.versions_pruned, 100u);
+  EXPECT_GT(db.mem()->stats().versions_pruned, 100u);
 }
+
+// The engine contract (EngineIface, paper Section 4.9), driven through the
+// interface alone the way Transaction drives it. One body runs on each
+// engine.
+class EngineContractTest : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(EngineContractTest, SnapshotsFloorsAndCommitOrder) {
+  DatabaseOptions opts;
+  // Advance memdb's GC floor and stordb's purge floor on every commit.
+  opts.mem.gc_interval = 1;
+  opts.stor.purge_interval = 1;
+  Database db(opts);
+  const TableId table = db.CreateTable("t", GetParam())->local_id;
+  EngineIface* engine = db.engine(GetParam());
+  ASSERT_EQ(engine->kind(), GetParam());
+  const IsolationLevel iso = IsolationLevel::kSnapshot;
+
+  // Commits one write of `value` to key 1; checks the read-only flag
+  // around the Put and the commit-order value PreCommit exposes.
+  auto commit_put = [&](const std::string& value) {
+    std::unique_ptr<SubTxn> sub = engine->Begin(iso, kMaxTimestamp);
+    ASSERT_NE(sub, nullptr);
+    EXPECT_TRUE(engine->IsReadOnly(sub.get()));
+    ASSERT_TRUE(engine->Put(sub.get(), table, MakeKey(1), value).ok());
+    EXPECT_FALSE(engine->IsReadOnly(sub.get()));
+    Timestamp cts = kInvalidTimestamp;
+    ASSERT_TRUE(engine->PreCommit(sub.get(), &cts).ok());
+    engine->PostCommit(sub.get(), db.NextGtid(), /*cross_engine=*/false);
+    EXPECT_EQ(engine->LatestSnapshot(), cts)
+        << "the pre-commit value is the engine's latest snapshot";
+  };
+
+  commit_put("v1");
+  const Timestamp stale = engine->LatestSnapshot();
+  for (int i = 2; i <= 4; ++i) commit_put("v" + std::to_string(i));
+
+  // kMaxTimestamp begins at the latest commit.
+  std::unique_ptr<SubTxn> reader = engine->Begin(iso, kMaxTimestamp);
+  ASSERT_NE(reader, nullptr);
+  std::string v;
+  ASSERT_TRUE(engine->Get(reader.get(), table, MakeKey(1), &v).ok());
+  EXPECT_EQ(v, "v4");
+
+  // Nothing held the floor at `stale` while the later commits advanced
+  // it, so the engine refuses that snapshot both at Begin and at a
+  // read-committed refresh.
+  EXPECT_EQ(engine->Begin(iso, stale), nullptr);
+  EXPECT_TRUE(engine->RefreshSnapshot(reader.get(), stale).IsSkeenaAbort());
+  engine->Abort(reader.get());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothEngines, EngineContractTest,
+    ::testing::Values(EngineKind::kMem, EngineKind::kStor),
+    [](const ::testing::TestParamInfo<EngineKind>& info) {
+      return info.param == EngineKind::kMem ? "Mem" : "Stor";
+    });
 
 }  // namespace
 }  // namespace skeena

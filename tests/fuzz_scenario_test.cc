@@ -218,7 +218,7 @@ SiReport RunScenario(const ScenarioConfig& cfg, uint64_t seed,
   for (const auto& e : errors) ADD_FAILURE() << cfg.name << ": " << e;
 
   if (pool_out != nullptr) {
-    auto* pool = db.stor()->engine()->pool();
+    auto* pool = db.stor()->pool();
     pool_out->fetches = pool->hits() + pool->misses();
     pool_out->misses = pool->misses();
     pool_out->flush_waits = pool->flush_waits();

@@ -18,7 +18,7 @@ class MemEngineTest : public ::testing::Test {
  protected:
   MemEngineTest()
       : engine_(std::make_unique<MemDevice>(), MemEngine::Options{}) {
-    table_ = engine_.CreateTable("t");
+    table_ = engine_.CreateTable("t", 256);
   }
 
   // Helper committing a single put as its own transaction.
@@ -110,7 +110,7 @@ TEST_F(MemEngineTest, FirstCommitterWins) {
 
   // t2 wrote the same record under an older snapshot: must abort.
   EXPECT_TRUE(engine_.PreCommit(t2.get()).IsAborted());
-  EXPECT_EQ(t2->state(), MemTxn::State::kAborted);
+  EXPECT_EQ(static_cast<MemTxn*>(t2.get())->state(), MemTxn::State::kAborted);
 
   auto reader = engine_.Begin(IsolationLevel::kSnapshot);
   std::string v;
@@ -133,8 +133,9 @@ TEST_F(MemEngineTest, AbortAfterPreCommitInstallsNothing) {
   CommitPut(1, "base");
   auto txn = engine_.Begin(IsolationLevel::kSnapshot);
   ASSERT_TRUE(engine_.Put(txn.get(), table_, MakeKey(1), "doomed").ok());
-  ASSERT_TRUE(engine_.PreCommit(txn.get()).ok());
-  EXPECT_NE(txn->commit_ts(), kInvalidTimestamp);
+  Timestamp cts = kInvalidTimestamp;
+  ASSERT_TRUE(engine_.PreCommit(txn.get(), &cts).ok());
+  EXPECT_NE(cts, kInvalidTimestamp);
   engine_.Abort(txn.get());
 
   auto reader = engine_.Begin(IsolationLevel::kSnapshot);
@@ -201,7 +202,8 @@ TEST_F(MemEngineTest, SerializableDisjointCommits) {
   ASSERT_TRUE(engine_.Put(t1.get(), table_, MakeKey(3), "c").ok());
   ASSERT_TRUE(engine_.PreCommit(t1.get()).ok());
   engine_.PostCommit(t1.get(), 0, false);
-  EXPECT_EQ(t1->state(), MemTxn::State::kCommitted);
+  EXPECT_EQ(static_cast<MemTxn*>(t1.get())->state(),
+            MemTxn::State::kCommitted);
 }
 
 TEST_F(MemEngineTest, SnapshotSkipsSerializableValidation) {
@@ -275,7 +277,7 @@ TEST_F(MemEngineTest, VersionChainsPrunedAfterHorizonAdvance) {
   MemEngine::Options opts;
   opts.gc_interval = 1;  // recompute horizon every commit
   MemEngine engine(std::make_unique<MemDevice>(), opts);
-  TableId t = engine.CreateTable("gc");
+  TableId t = engine.CreateTable("gc", 256);
   for (int i = 0; i < 200; ++i) {
     auto txn = engine.Begin(IsolationLevel::kSnapshot);
     ASSERT_TRUE(
@@ -291,7 +293,7 @@ TEST_F(MemEngineTest, ActiveReaderBlocksPruningOfItsVersion) {
   MemEngine::Options opts;
   opts.gc_interval = 1;
   MemEngine engine(std::make_unique<MemDevice>(), opts);
-  TableId t = engine.CreateTable("gc");
+  TableId t = engine.CreateTable("gc", 256);
   {
     auto txn = engine.Begin(IsolationLevel::kSnapshot);
     ASSERT_TRUE(engine.Put(txn.get(), t, MakeKey(7), "pinned").ok());
@@ -390,7 +392,7 @@ TEST_F(MemEngineTest, RecoverReplaysCommittedOnly) {
   MemDevice* raw = dev.get();
   {
     MemEngine engine(std::move(dev), MemEngine::Options{});
-    TableId t = engine.CreateTable("r");
+    TableId t = engine.CreateTable("r", 256);
     auto c = engine.Begin(IsolationLevel::kSnapshot);
     ASSERT_TRUE(engine.Put(c.get(), t, MakeKey(1), "committed").ok());
     ASSERT_TRUE(engine.PreCommit(c.get()).ok());
@@ -400,7 +402,7 @@ TEST_F(MemEngineTest, RecoverReplaysCommittedOnly) {
     ASSERT_TRUE(engine.Put(a.get(), t, MakeKey(2), "aborted").ok());
     ASSERT_TRUE(engine.PreCommit(a.get()).ok());
     engine.Abort(a.get());  // pre-committed (logged data) but never ended
-    engine.log()->Flush();
+    engine.Log()->Flush();
 
     // Copy the log into a fresh device to simulate a crash + restart.
     // (~MemEngine flushes; we reread the same bytes.)
@@ -410,10 +412,10 @@ TEST_F(MemEngineTest, RecoverReplaysCommittedOnly) {
     ASSERT_TRUE(dev2->WriteAt(0, snapshot).ok());
 
     MemEngine recovered(std::move(dev2), MemEngine::Options{});
-    TableId t2 = recovered.CreateTable("r");
+    TableId t2 = recovered.CreateTable("r", 256);
     std::vector<CommittedGroup> groups;
     ASSERT_TRUE(
-        ReadCommittedGroups(recovered.log()->device(), {}, &groups).ok());
+        ReadCommittedGroups(recovered.Log()->device(), {}, &groups).ok());
     ASSERT_TRUE(recovered.ApplyRecovered(std::move(groups)).ok());
     auto reader = recovered.Begin(IsolationLevel::kSnapshot);
     std::string v;

@@ -36,7 +36,7 @@ TEST(MemReclaimTortureTest, PinnedReaderNeverObservesFreedVersions) {
   MemEngine::Options opts;
   opts.gc_interval = 4;  // advance the floor aggressively
   MemEngine engine(std::make_unique<MemDevice>(), opts);
-  TableId t = engine.CreateTable("torture");
+  TableId t = engine.CreateTable("torture", 256);
 
   std::atomic<uint64_t> gtid{1};
   auto commit_put = [&](int key, const std::string& value) {
@@ -110,7 +110,7 @@ TEST(MemReclaimTortureTest, PinnedReaderNeverObservesFreedVersions) {
   // intermediates above later floors are unlinked and epoch-freed.
   EXPECT_GT(engine.stats().versions_pruned, 0u);
   EXPECT_GT(engine.epoch().FreedCount(), 0u);
-  EXPECT_LE(engine.GcFloor(), reader->begin_ts())
+  EXPECT_LE(engine.GcFloor(), static_cast<MemTxn*>(reader.get())->begin_ts())
       << "the floor may never pass a registered snapshot";
 
   // Release the reader; churn a little more so the floor passes its

@@ -12,7 +12,8 @@ silently stops finding bugs fails THIS test instead of rotting:
    only); CI's static-analysis job always runs it.
 
 2. scripts/check_invariants.py: each snippets/lint_*.cc violation is
-   copied into a scratch tree and the named rule must flag it (exit 1);
+   copied into a scratch tree (under src/, or under the layer directory
+   the case names) and the named rule must flag it (exit 1);
    snippets/lint_clean.cc must produce zero findings. Orphan/uncommented
    .tsan-suppressions entries are seeded directly. This lane runs
    everywhere (pure python).
@@ -90,32 +91,38 @@ def run_linter(repo_root, scratch):
     return proc.returncode, proc.stdout + proc.stderr
 
 
-def make_scratch(repo_root, snippet_dir, snippet):
+def make_scratch(repo_root, snippet_dir, snippet, layer=""):
     """Scratch tree: src/common/thread_annotations.h (the real one, so the
-    raw-std-sync exemption path exists) + the snippet under src/."""
+    raw-std-sync exemption path exists) + the snippet under src/<layer>."""
     scratch = tempfile.mkdtemp(prefix="skeena_lint_")
     common = os.path.join(scratch, "src", "common")
     os.makedirs(common)
     shutil.copy(os.path.join(repo_root, "src", "common",
                              "thread_annotations.h"), common)
     if snippet is not None:
+        dest = os.path.join(scratch, "src", layer)
+        os.makedirs(dest, exist_ok=True)
         shutil.copy(os.path.join(snippet_dir, snippet),
-                    os.path.join(scratch, "src", snippet))
+                    os.path.join(dest, snippet))
     return scratch
 
 
 def run_linter_lane(repo_root, here):
     snippet_dir = os.path.join(here, "snippets")
+    # (snippet, rule, layer directory under src/, findings expected)
     cases = [
-        ("lint_epoch_guard_park.cc", "epoch-guard-blocking"),
-        ("lint_raw_mutex.cc", "raw-std-sync"),
-        ("lint_unjustified_relaxed.cc", "unjustified-relaxed"),
+        ("lint_epoch_guard_park.cc", "epoch-guard-blocking", "", None),
+        ("lint_raw_mutex.cc", "raw-std-sync", "", None),
+        ("lint_unjustified_relaxed.cc", "unjustified-relaxed", "", None),
+        ("lint_include_layering.cc", "include-layering", "memdb", 1),
     ]
-    for snippet, rule in cases:
-        scratch = make_scratch(repo_root, snippet_dir, snippet)
+    for snippet, rule, layer, expected in cases:
+        scratch = make_scratch(repo_root, snippet_dir, snippet, layer)
         try:
             rc, out = run_linter(repo_root, scratch)
             ok = rc == 1 and f"[{rule}]" in out
+            if expected is not None:
+                ok = ok and out.count(f"[{rule}]") == expected
             record(f"lint: {snippet} flagged by {rule}", ok,
                    f"rc={rc} output={out[:800]}")
         finally:

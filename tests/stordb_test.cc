@@ -632,7 +632,7 @@ TEST_F(StorEngineTest, MultiChunkUndoRollsBackAndServesOlderViews) {
   std::string v;
   ASSERT_TRUE(engine_->Get(old_view.get(), table_, MakeKey(0), &v).ok());
 
-  auto read_all = [&](StorTxn* reader, char tag) {
+  auto read_all = [&](SubTxn* reader, char tag) {
     for (int k = 0; k < kRows; ++k) {
       std::string got;
       ASSERT_TRUE(engine_->Get(reader, table_, MakeKey(k), &got).ok()) << k;
@@ -706,8 +706,9 @@ TEST_F(StorEngineTest, AbortAfterPreCommitRollsBack) {
   CommitPut(1, "base");
   auto txn = engine_->Begin(IsolationLevel::kSnapshot);
   ASSERT_TRUE(engine_->Put(txn.get(), table_, MakeKey(1), "doomed").ok());
-  ASSERT_TRUE(engine_->PreCommit(txn.get()).ok());
-  EXPECT_NE(txn->ser_no(), 0u);
+  Timestamp ser = 0;
+  ASSERT_TRUE(engine_->PreCommit(txn.get(), &ser).ok());
+  EXPECT_NE(ser, 0u);
   engine_->Abort(txn.get());  // Skeena commit-check failure path
 
   auto reader = engine_->Begin(IsolationLevel::kSnapshot);
@@ -811,7 +812,7 @@ TEST_F(StorEngineTest, RecoverReplaysCommittedOnly) {
     ASSERT_TRUE(engine.Put(a.get(), t, MakeKey(2), "aborted").ok());
     ASSERT_TRUE(engine.PreCommit(a.get()).ok());
     engine.Abort(a.get());
-    engine.log()->Flush();
+    engine.Log()->Flush();
     log_bytes.resize(raw->Size());
     raw->ReadAt(0, log_bytes);
   }
@@ -820,7 +821,7 @@ TEST_F(StorEngineTest, RecoverReplaysCommittedOnly) {
   StorEngine recovered(std::move(dev2), StorEngine::Options{});
   TableId t2 = recovered.CreateTable("r", 256);
   std::vector<CommittedGroup> groups;
-  ASSERT_TRUE(ReadCommittedGroups(recovered.log()->device(), {}, &groups).ok());
+  ASSERT_TRUE(ReadCommittedGroups(recovered.Log()->device(), {}, &groups).ok());
   ASSERT_TRUE(recovered.ApplyRecovered(groups).ok());
 
   auto reader = recovered.Begin(IsolationLevel::kSnapshot);

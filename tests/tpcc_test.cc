@@ -75,9 +75,10 @@ TEST(TpccTest, OrderStatusAndStockLevelAreReadOnly) {
     EXPECT_TRUE(tpcc.StockLevel(rng, 1, &q0).ok());
   }
   EXPECT_GT(q0, 40u) << "queries must be counted";
-  auto stats = tpcc.db()->stats();
-  EXPECT_EQ(stats.mem.commits + stats.stor.commits,
-            stats.mem.commits + stats.stor.commits);
+  // Read-only transactions still post-commit every engine they read.
+  EXPECT_GE(tpcc.db()->mem()->stats().commits +
+                tpcc.db()->stor()->stats().commits,
+            40u);
   EXPECT_TRUE(tpcc.CheckConsistency().ok());
 }
 
@@ -136,7 +137,7 @@ TEST(TpccTest, CrossEnginePlacementProducesCsrTraffic) {
   Rng rng(6);
   uint64_t q = 0;
   for (int i = 0; i < 50; ++i) tpcc.RunMix(0, rng, &q);
-  EXPECT_GT(tpcc.db()->stats().csr.accesses, 0u);
+  EXPECT_GT(tpcc.db()->csr().stats().accesses, 0u);
 }
 
 TEST(TpccTest, SkeenaOffStillRunsButUncoordinated) {
@@ -151,7 +152,7 @@ TEST(TpccTest, SkeenaOffStillRunsButUncoordinated) {
     if (tpcc.RunMix(0, rng, &q).ok()) committed++;
   }
   EXPECT_GT(committed, 50);
-  EXPECT_EQ(tpcc.db()->stats().csr.accesses, 0u);
+  EXPECT_EQ(tpcc.db()->csr().stats().accesses, 0u);
 }
 
 TEST(TpccTest, FixedHomeWarehouseBindsThreads) {

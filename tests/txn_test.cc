@@ -267,7 +267,7 @@ TEST_F(TxnTest, StatsCountCsrTraffic) {
     ASSERT_TRUE(txn->Put(mem_table_, MakeKey(i), "x").ok());
     ASSERT_TRUE(txn->Commit().ok());
   }
-  EXPECT_EQ(db_.stats().csr.accesses, 0u);
+  EXPECT_EQ(db_.csr().stats().accesses, 0u);
 
   // Slow-engine transactions are effectively cross-engine (Section 4.3).
   for (int i = 0; i < 10; ++i) {
@@ -275,8 +275,7 @@ TEST_F(TxnTest, StatsCountCsrTraffic) {
     ASSERT_TRUE(txn->Put(stor_table_, MakeKey(i), "x").ok());
     ASSERT_TRUE(txn->Commit().ok());
   }
-  auto stats = db_.stats();
-  EXPECT_GT(stats.csr.accesses, 0u);
+  EXPECT_GT(db_.csr().stats().accesses, 0u);
   // All with the same anchor snapshot -> a single CSR key (Section 6.3).
   EXPECT_LE(db_.csr().EntryCount(), 1u);
 }
@@ -463,7 +462,7 @@ TEST(TxnConfigTest, SkeenaOffCommitsIndependently) {
   ASSERT_TRUE(txn->Put(mem_t, MakeKey(1), "m").ok());
   ASSERT_TRUE(txn->Put(stor_t, MakeKey(1), "s").ok());
   ASSERT_TRUE(txn->Commit().ok());
-  EXPECT_EQ(db.stats().csr.accesses, 0u) << "no CSR traffic with Skeena off";
+  EXPECT_EQ(db.csr().stats().accesses, 0u) << "no CSR traffic with Skeena off";
 }
 
 TEST(TxnConfigTest, StorAnchorAblationWorks) {
@@ -483,7 +482,7 @@ TEST(TxnConfigTest, StorAnchorAblationWorks) {
   ASSERT_TRUE(reader->Get(mem_t, MakeKey(19), &v).ok());
   EXPECT_EQ(v, "m");
   // With stordb anchoring, mem-only transactions now pay the CSR.
-  EXPECT_GT(db.stats().csr.accesses, 0u);
+  EXPECT_GT(db.csr().stats().accesses, 0u);
 }
 
 TEST(TxnConfigTest, ConcurrentCommittersAllComplete) {
